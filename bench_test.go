@@ -574,27 +574,6 @@ func spinVM(mode core.Mode) (*interp.VM, error) {
 	return vm, nil
 }
 
-// measureSpinThroughput runs the scheduler benchmark workload once and
-// returns its aggregate throughput in Minstr/s.
-func measureSpinThroughput(mode core.Mode, workers int) (float64, error) {
-	vm, err := spinVM(mode)
-	if err != nil {
-		return 0, err
-	}
-	start := time.Now()
-	var res interp.RunResult
-	if workers > 0 {
-		res = sched.Run(vm, workers, 0)
-	} else {
-		res = vm.Run(0)
-	}
-	elapsed := time.Since(start)
-	if !res.AllDone {
-		return 0, fmt.Errorf("run did not finish: %+v", res)
-	}
-	return float64(res.Instructions) / 1e6 / elapsed.Seconds(), nil
-}
-
 // TestEmitInterpBench measures interpreter throughput of the three
 // engines (baseline cooperative, I-JVM cooperative, I-JVM concurrent)
 // and writes BENCH_interp.json, recording the before/after curve of the
@@ -606,18 +585,23 @@ func TestEmitInterpBench(t *testing.T) {
 	if os.Getenv("BENCH_INTERP_JSON") == "" {
 		t.Skip("set BENCH_INTERP_JSON=1 to measure and rewrite BENCH_interp.json")
 	}
-	best := func(mode core.Mode, workers int) float64 {
-		var b float64
-		for i := 0; i < 6; i++ {
-			v, err := measureSpinThroughput(mode, workers)
-			if err != nil {
-				t.Fatal(err)
+	// bestMinstr runs a Minstr/s benchmark body under testing.Benchmark
+	// three times and keeps the best reading. testing.Benchmark drops the
+	// body's failure message, so a failure names the benchmark family to
+	// rerun with -bench to see it.
+	bestMinstr := func(family string, bench func(*testing.B)) float64 {
+		var bv float64
+		for i := 0; i < 3; i++ {
+			v, ok := testing.Benchmark(bench).Extra["Minstr/s"]
+			if !ok {
+				t.Fatalf("%s* failed (no Minstr/s reported); run go test -run '^$' -bench %s to see why", family, family)
 			}
-			if v > b {
-				b = v
-			}
+			bv = max(bv, v)
 		}
-		return b
+		return bv
+	}
+	best := func(mode core.Mode, workers int) float64 {
+		return bestMinstr("BenchmarkScheduler_", func(b *testing.B) { benchSchedulerRun(b, mode, workers) })
 	}
 	type engine struct {
 		Engine        string  `json:"engine"`
@@ -703,17 +687,7 @@ func TestEmitInterpBench(t *testing.T) {
 		MeshP99Us         float64 `json:"mesh_p99_us"`
 	}
 	bestInvoke := func(k int, disableIC bool) float64 {
-		var bv float64
-		for i := 0; i < 6; i++ {
-			v, err := measureInvokeThroughput(k, disableIC)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if v > bv {
-				bv = v
-			}
-		}
-		return bv
+		return bestMinstr("BenchmarkInvoke_", func(b *testing.B) { benchInvoke(b, k, disableIC) })
 	}
 	mkSite := func(name string, k int) invokeSite {
 		before, after := bestInvoke(k, true), bestInvoke(k, false)
@@ -734,32 +708,12 @@ func TestEmitInterpBench(t *testing.T) {
 		return bv
 	}
 	bestField := func(disablePrepare bool) float64 {
-		var bv float64
-		for i := 0; i < 6; i++ {
-			v, err := measureFieldThroughput(disablePrepare)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if v > bv {
-				bv = v
-			}
-		}
-		return bv
+		return bestMinstr("BenchmarkField_", func(b *testing.B) { benchField(b, disablePrepare) })
 	}
 	allocBefore, allocAfter := bestAlloc(false), bestAlloc(true)
 	fieldBefore, fieldAfter := bestField(true), bestField(false)
 	bestTier := func(cfg tierBenchConfig) float64 {
-		var bv float64
-		for i := 0; i < 6; i++ {
-			v, err := measureTierThroughput(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if v > bv {
-				bv = v
-			}
-		}
-		return bv
+		return bestMinstr("BenchmarkTier_", func(b *testing.B) { benchTier(b, cfg) })
 	}
 	tierSeedV := bestTier(tierSeed)
 	tierPrepV := bestTier(tierPrepared)
@@ -1117,29 +1071,6 @@ func BenchmarkInvoke_Polymorphic4_NoIC(b *testing.B) { benchInvoke(b, 4, true) }
 func BenchmarkInvoke_Megamorphic8(b *testing.B)      { benchInvoke(b, 8, false) }
 func BenchmarkInvoke_Megamorphic8_NoIC(b *testing.B) { benchInvoke(b, 8, true) }
 
-// measureInvokeThroughput runs the invoke workload once and returns its
-// throughput in Minstr/s (used by TestEmitInterpBench).
-func measureInvokeThroughput(k int, disableIC bool) (float64, error) {
-	vm, iso, m, err := invokeBenchVM(k, disableIC)
-	if err != nil {
-		return 0, err
-	}
-	args := []heap.Value{heap.IntVal(invokeBenchInner)}
-	if _, th, err := vm.CallRoot(iso, m, args, 0); err != nil || th.Failure() != nil {
-		return 0, fmt.Errorf("warmup: %v / %v", err, th.FailureString())
-	}
-	const rounds = 40
-	start := vm.TotalInstructions()
-	t0 := time.Now()
-	for i := 0; i < rounds; i++ {
-		if _, th, err := vm.CallRoot(iso, m, args, 0); err != nil || th.Failure() != nil {
-			return 0, fmt.Errorf("run: %v / %v", err, th.FailureString())
-		}
-	}
-	elapsed := time.Since(t0)
-	return float64(vm.TotalInstructions()-start) / 1e6 / elapsed.Seconds(), nil
-}
-
 // --- Allocation microbenchmarks (sharded memory subsystem) ----------------
 //
 // BenchmarkAlloc_* measures the heap admission path itself: N goroutines
@@ -1431,29 +1362,6 @@ func benchField(b *testing.B, disablePrepare bool) {
 func BenchmarkField_GetPut(b *testing.B)            { benchField(b, false) }
 func BenchmarkField_GetPut_Unprepared(b *testing.B) { benchField(b, true) }
 
-// measureFieldThroughput runs the field workload once and returns its
-// throughput in Minstr/s (used by TestEmitInterpBench).
-func measureFieldThroughput(disablePrepare bool) (float64, error) {
-	vm, iso, m, err := fieldBenchVM(disablePrepare)
-	if err != nil {
-		return 0, err
-	}
-	args := []heap.Value{heap.IntVal(int64(fieldBenchInner))}
-	if _, th, err := vm.CallRoot(iso, m, args, 0); err != nil || th.Failure() != nil {
-		return 0, fmt.Errorf("warmup: %v / %v", err, th.FailureString())
-	}
-	const rounds = 40
-	start := vm.TotalInstructions()
-	t0 := time.Now()
-	for i := 0; i < rounds; i++ {
-		if _, th, err := vm.CallRoot(iso, m, args, 0); err != nil || th.Failure() != nil {
-			return 0, fmt.Errorf("run: %v / %v", err, th.FailureString())
-		}
-	}
-	elapsed := time.Since(t0)
-	return float64(vm.TotalInstructions()-start) / 1e6 / elapsed.Seconds(), nil
-}
-
 // --- Tier microbenchmarks (superinstruction fusion + closure tier) --------
 //
 // One hot arithmetic loop measured across the four dispatch tiers:
@@ -1560,29 +1468,6 @@ func BenchmarkTier_Seed(b *testing.B)     { benchTier(b, tierSeed) }
 func BenchmarkTier_Prepared(b *testing.B) { benchTier(b, tierPrepared) }
 func BenchmarkTier_Fused(b *testing.B)    { benchTier(b, tierFused) }
 func BenchmarkTier_Closure(b *testing.B)  { benchTier(b, tierClosure) }
-
-// measureTierThroughput runs the tier workload once and returns its
-// throughput in Minstr/s (used by TestEmitInterpBench).
-func measureTierThroughput(cfg tierBenchConfig) (float64, error) {
-	vm, iso, m, err := tierBenchVM(cfg)
-	if err != nil {
-		return 0, err
-	}
-	args := []heap.Value{heap.IntVal(int64(tierBenchInner))}
-	if _, th, err := vm.CallRoot(iso, m, args, 0); err != nil || th.Failure() != nil {
-		return 0, fmt.Errorf("warmup: %v / %v", err, th.FailureString())
-	}
-	const rounds = 40
-	start := vm.TotalInstructions()
-	t0 := time.Now()
-	for i := 0; i < rounds; i++ {
-		if _, th, err := vm.CallRoot(iso, m, args, 0); err != nil || th.Failure() != nil {
-			return 0, fmt.Errorf("run: %v / %v", err, th.FailureString())
-		}
-	}
-	elapsed := time.Since(t0)
-	return float64(vm.TotalInstructions()-start) / 1e6 / elapsed.Seconds(), nil
-}
 
 func BenchmarkScheduler_Shared_Sequential(b *testing.B) {
 	benchSchedulerRun(b, core.ModeShared, 0)
@@ -2267,6 +2152,10 @@ func BenchmarkRPC_Mesh(b *testing.B) {
 // One worker keeps the virtual clock a pure function of scheduler
 // interleaving, so the p99 metric is comparable across hosts.
 func benchQoS(b *testing.B, roundRobin bool) {
+	var gov *sched.GovernorConfig
+	if !roundRobin {
+		gov = &sched.GovernorConfig{WindowInstrs: 131072}
+	}
 	var last *workloads.SLOResult
 	for i := 0; i < b.N; i++ {
 		res, err := workloads.RunSLO(workloads.SLOConfig{
@@ -2276,8 +2165,7 @@ func benchQoS(b *testing.B, roundRobin bool) {
 			Workers:           1,
 			Attackers:         []workloads.AttackerKind{workloads.AttackSpin, workloads.AttackAllocFlood},
 			RoundRobin:        roundRobin,
-			Governed:          !roundRobin,
-			Governor:          &sched.GovernorConfig{WindowInstrs: 131072},
+			Governor:          gov,
 		})
 		if err != nil {
 			b.Fatal(err)
@@ -2332,7 +2220,7 @@ func benchServeConcurrent(b *testing.B, usePool bool) {
 	for i := 0; i < b.N; i++ {
 		res, err := workloads.RunGatewayConcurrent(workloads.GatewayConcurrentConfig{
 			Tenants: 16, Requests: 4, HeapLimit: 64 << 20,
-			UsePool: usePool, PoolCapacity: 16,
+			UsePool: usePool,
 		})
 		if err != nil {
 			b.Fatal(err)
@@ -2372,7 +2260,7 @@ func measureServeConcurrent(tenants int, usePool bool) (workloads.GatewayConcurr
 	for i := 0; i < 3; i++ {
 		res, err := workloads.RunGatewayConcurrent(workloads.GatewayConcurrentConfig{
 			Tenants: tenants, Requests: 8, HeapLimit: 128 << 20,
-			UsePool: usePool, PoolCapacity: tenants,
+			UsePool: usePool,
 		})
 		if err != nil {
 			return best, err

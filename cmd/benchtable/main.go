@@ -451,7 +451,7 @@ func serveConcurrentTable() error {
 		for _, usePool := range []bool{false, true} {
 			res, err := workloads.RunGatewayConcurrent(workloads.GatewayConcurrentConfig{
 				Tenants: tenants, Requests: 8, HeapLimit: 128 << 20,
-				UsePool: usePool, PoolCapacity: tenants,
+				UsePool: usePool,
 			})
 			if err != nil {
 				return err
@@ -528,12 +528,10 @@ func qosTable() error {
 	rr := attacked
 	rr.RoundRobin = true
 	governed := attacked
-	governed.Governed = true
 	governed.Governor = qosGovernor()
 	legs := []leg{
 		{"no attack, proportional+governed", func() workloads.SLOConfig {
 			c := base
-			c.Governed = true
 			c.Governor = qosGovernor()
 			return c
 		}()},
@@ -553,7 +551,7 @@ func qosTable() error {
 			res.Goodput, res.Failed)
 		if len(res.Attackers) > 0 {
 			fmt.Printf("  %-34s tenant/attacker instrs %d/%d", "", res.TenantInstructions, res.AttackerInstructions)
-			if l.cfg.Governed {
+			if l.cfg.Governor != nil {
 				fmt.Printf("; governor %+v", res.Governor)
 			}
 			fmt.Println()

@@ -3,7 +3,7 @@ package workloads
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -13,6 +13,7 @@ import (
 	"ijvm/internal/core"
 	"ijvm/internal/heap"
 	"ijvm/internal/interp"
+	"ijvm/internal/loader"
 	"ijvm/internal/sched"
 	"ijvm/internal/serve"
 	"ijvm/internal/syslib"
@@ -142,11 +143,8 @@ type GatewayConfig struct {
 // driving — nothing else runs while a session spawns or serves — so its
 // latencies are wall-clock durations (the p99 gate compares like with
 // like and the 1-CPU caveat cancels out). The concurrent gateway
-// (GatewayConcurrentResult) must NOT use wall clock: with N sessions in
-// flight on scheduler workers, wall time measures Go runtime preemption
-// of the measuring goroutine, not this system. Its latencies are virtual
-// ticks (slo.go contract: 1 tick per executed instruction, 1000 ticks =
-// 1 virtual ms).
+// (GatewayConcurrentResult) runs sessions in flight on scheduler workers
+// and follows live.go's virtual-tick latency contract instead.
 type GatewayResult struct {
 	Mode     string        `json:"mode"`
 	Sessions int           `json:"sessions"`
@@ -169,30 +167,62 @@ type GatewayResult struct {
 	GCs int64 `json:"gcs"`
 }
 
-func percentile(sorted []time.Duration, p float64) time.Duration {
-	if len(sorted) == 0 {
-		return 0
+// gatewayServe looks up the application's serve handler through l.
+func gatewayServe(l *loader.Loader) (*classfile.Method, error) {
+	app, err := l.Lookup(GatewayAppClass)
+	if err != nil {
+		return nil, err
 	}
-	idx := int(p * float64(len(sorted)-1))
-	return sorted[idx]
+	return app.LookupMethod("serve", "(I)I")
 }
 
-// gatewayVM builds the serving VM with a runtime Isolate0 (the gateway
-// host: admin kills and GC triggers are charged to it).
-func gatewayVM(cfg GatewayConfig) (*interp.VM, *core.Isolate, error) {
-	limit := cfg.HeapLimit
-	if limit <= 0 {
-		limit = 64 << 20
-	}
-	vm := interp.NewVM(interp.Options{Mode: core.ModeIsolated, HeapLimit: limit})
-	if err := syslib.Install(vm); err != nil {
+// gatewayTemplate is the untimed template set-up: a template loader owns
+// the classes, a warmer isolate (kept alive: snapshot pool strings pin
+// to it) runs the heavy clinit once, and the snapshot captures the
+// warmed state. The caller releases the snapshot.
+func gatewayTemplate(vm *interp.VM, freezeShared bool) (*interp.Snapshot, *classfile.Method, error) {
+	tl := vm.Registry().NewLoader("gw-template")
+	if err := tl.DefineAll(GatewayClasses()); err != nil {
 		return nil, nil, err
 	}
-	host, err := vm.World().NewIsolate("gateway", vm.Registry().NewLoader("gateway"))
+	wl := vm.Registry().NewLoader("gw-warmer")
+	warmer, err := vm.World().NewIsolate("gw-warmer", wl)
 	if err != nil {
 		return nil, nil, err
 	}
-	return vm, host, nil
+	wl.AddDelegate(tl)
+	serveM, err := gatewayServe(tl)
+	if err != nil {
+		return nil, nil, err
+	}
+	if _, th, err := vm.CallRoot(warmer, serveM, []heap.Value{heap.IntVal(1)}, 0); err != nil || th.Failure() != nil {
+		return nil, nil, fmt.Errorf("gateway warm-up: %v / %s", err, th.FailureString())
+	}
+	snap, err := vm.CaptureSnapshot(warmer, interp.SnapshotOptions{FreezeShared: freezeShared})
+	if err != nil {
+		return nil, nil, err
+	}
+	return snap, serveM, nil
+}
+
+// coldTenant provisions a tenant the expensive way: a fresh loader and
+// isolate with the application defined and linked. Its first serve runs
+// the heavy clinit; callers count that serve as part of the spawn and
+// leave it out of the checksum.
+func coldTenant(vm *interp.VM, name string) (*core.Isolate, *classfile.Method, error) {
+	l := vm.Registry().NewLoader(name)
+	iso, err := vm.World().NewIsolate(name, l)
+	if err != nil {
+		return nil, nil, err
+	}
+	if err := l.DefineAll(GatewayClasses()); err != nil {
+		return nil, nil, err
+	}
+	m, err := gatewayServe(l)
+	if err != nil {
+		return nil, nil, err
+	}
+	return iso, m, nil
 }
 
 // RunGateway executes one serving run: cfg.Sessions sequential tenant
@@ -204,44 +234,27 @@ func RunGateway(cfg GatewayConfig) (GatewayResult, error) {
 	if cfg.Sessions <= 0 || cfg.Requests <= 0 {
 		return GatewayResult{}, fmt.Errorf("gateway: need positive Sessions and Requests")
 	}
-	vm, host, err := gatewayVM(cfg)
+	limit := cfg.HeapLimit
+	if limit <= 0 {
+		limit = 64 << 20
+	}
+	vm := interp.NewVM(interp.Options{Mode: core.ModeIsolated, HeapLimit: limit})
+	if err := syslib.Install(vm); err != nil {
+		return GatewayResult{}, err
+	}
+	// The gateway host is Isolate0: admin kills and GC triggers are
+	// charged to it.
+	host, err := vm.NewIsolate("gateway")
 	if err != nil {
 		return GatewayResult{}, err
 	}
-	world := vm.World()
-	reg := vm.Registry()
 
 	var (
 		snap  *interp.Snapshot
 		serve *classfile.Method
 	)
 	if cfg.Mode == GatewayClone || cfg.Mode == GatewayRecycled {
-		// Untimed template setup: a template loader owns the classes, a
-		// warmer isolate (kept alive: snapshot pool strings pin to it)
-		// runs the heavy clinit once, and the snapshot captures the
-		// warmed state.
-		tl := reg.NewLoader("gw-template")
-		if err := tl.DefineAll(GatewayClasses()); err != nil {
-			return GatewayResult{}, err
-		}
-		wl := reg.NewLoader("gw-warmer")
-		warmer, err := world.NewIsolate("gw-warmer", wl)
-		if err != nil {
-			return GatewayResult{}, err
-		}
-		wl.AddDelegate(tl)
-		app, err := tl.Lookup(GatewayAppClass)
-		if err != nil {
-			return GatewayResult{}, err
-		}
-		serve, err = app.LookupMethod("serve", "(I)I")
-		if err != nil {
-			return GatewayResult{}, err
-		}
-		if _, th, err := vm.CallRoot(warmer, serve, []heap.Value{heap.IntVal(1)}, 0); err != nil || th.Failure() != nil {
-			return GatewayResult{}, fmt.Errorf("gateway warm-up: %v / %s", err, th.FailureString())
-		}
-		snap, err = vm.CaptureSnapshot(warmer, interp.SnapshotOptions{FreezeShared: cfg.FreezeShared})
+		snap, serve, err = gatewayTemplate(vm, cfg.FreezeShared)
 		if err != nil {
 			return GatewayResult{}, err
 		}
@@ -297,19 +310,7 @@ func RunGateway(cfg GatewayConfig) (GatewayResult, error) {
 			// The whole provisioning path is the spawn: build, define,
 			// link, and run the heavy clinit.
 			start := time.Now()
-			l := reg.NewLoader(name)
-			iso, err = world.NewIsolate(name, l)
-			if err != nil {
-				return res, err
-			}
-			if err := l.DefineAll(GatewayClasses()); err != nil {
-				return res, err
-			}
-			app, err := l.Lookup(GatewayAppClass)
-			if err != nil {
-				return res, err
-			}
-			serveM, err = app.LookupMethod("serve", "(I)I")
+			iso, serveM, err = coldTenant(vm, name)
 			if err != nil {
 				return res, err
 			}
@@ -366,9 +367,9 @@ func RunGateway(cfg GatewayConfig) (GatewayResult, error) {
 		}
 	}
 
-	sort.Slice(spawns, func(i, j int) bool { return spawns[i] < spawns[j] })
-	res.SpawnP50 = percentile(spawns, 0.50)
-	res.SpawnP99 = percentile(spawns, 0.99)
+	slices.Sort(spawns)
+	res.SpawnP50 = Quantile(spawns, 0.50)
+	res.SpawnP99 = Quantile(spawns, 0.99)
 	res.SpawnMax = spawns[len(spawns)-1]
 	if res.ServeDuration > 0 {
 		res.ServesPerSec = float64(res.Serves) / res.ServeDuration.Seconds()
@@ -391,27 +392,33 @@ type GatewayConcurrentConfig struct {
 	SessionsPerTenant int
 	// Requests is the serve count per session. Default 8.
 	Requests int
-	// UsePool provisions sessions from a pre-warmed clone pool instead of
-	// cold spawns.
+	// UsePool provisions sessions from a pre-warmed clone pool, one warm
+	// slot per tenant, instead of cold spawns.
 	UsePool bool
-	// PoolCapacity bounds the warm set (default min(Tenants, 16)).
-	PoolCapacity int
-	// Workers is the scheduler worker count. Default 2.
-	Workers int
 	// HeapLimit bounds the VM heap (0 = 64 MiB).
 	HeapLimit int64
-	// FreezeShared shares frozen warmed arrays between clones.
-	FreezeShared bool
-	// Governed attaches a governor; with Abusers > 0 this is what sheds
-	// abusive principals at the pool's admission edge.
-	Governed bool
-	// Governor overrides governor tuning (nil = defaults).
+	// Governor, when non-nil, attaches a governor with this tuning; with
+	// Abusers > 0 it is what sheds abusive principals at the pool's
+	// admission edge. Nil runs ungoverned.
 	Governor *sched.GovernorConfig
 	// Abusers adds allocation-flood adversary isolates that also hammer
 	// Acquire; once the governor throttles them the pool must shed their
-	// admissions (core.ErrThrottled) without spending warm slots.
+	// admissions (core.ErrThrottled) without spending warm slots. A
+	// governed pool-mode run ends only after the pool has shed an abuser.
 	Abusers int
 }
+
+// gatewayWorkers is the concurrent gateway's scheduler worker count.
+const gatewayWorkers = 2
+
+// abuserShedWindows bounds how many governor windows a governed
+// pool-mode run waits, after its tenants finish, for the pool to shed an
+// abuser. A flood's throttle episodes come and go (the keeper's spin
+// fills most windows, so the flood's batched allocation charges land in
+// few of them) until the flood is killed, which leaves it throttled for
+// good; a few windows usually suffice. The bound fails the run instead
+// of hanging it when the tuning never throttles a flood.
+const abuserShedWindows = 1 << 12
 
 func (c *GatewayConcurrentConfig) fill() {
 	if c.Tenants <= 0 {
@@ -423,32 +430,16 @@ func (c *GatewayConcurrentConfig) fill() {
 	if c.Requests <= 0 {
 		c.Requests = 8
 	}
-	if c.PoolCapacity <= 0 {
-		c.PoolCapacity = c.Tenants
-		if c.PoolCapacity > 16 {
-			c.PoolCapacity = 16
-		}
-	}
-	if c.Workers <= 0 {
-		c.Workers = 2
-	}
 	if c.HeapLimit <= 0 {
 		c.HeapLimit = 64 << 20
 	}
 }
 
 // GatewayConcurrentResult aggregates one concurrent serving run.
-//
-// Latencies are virtual ticks on the VM clock (1 tick per executed
-// instruction; 1000 ticks = 1 virtual ms — see VirtualMS and the slo.go
-// measurement contract): a session's spawn latency is the clock
-// interval its client observed across provisioning, and a request's
-// serve latency is the worker-stamped FinishTick-SpawnTick interval.
-// Wall clock on a small host would measure Go runtime preemption of the
-// client goroutines, not how many instructions the rest of the world
-// executed while this tenant waited. ServesPerSec stays wall-clock on
-// purpose, like SLO goodput: it is a work-conservation number, not a
-// latency.
+// Latencies follow live.go's virtual-tick contract: a session's spawn
+// latency is the clock interval its client observed across
+// provisioning, a request's serve latency its request thread's
+// FinishTick-SpawnTick; ServesPerSec is wall-clock.
 type GatewayConcurrentResult struct {
 	Mode     string `json:"mode"` // "cold" or "pool"
 	Tenants  int    `json:"tenants"`
@@ -486,146 +477,70 @@ type GatewayConcurrentResult struct {
 
 // RunGatewayConcurrent executes one concurrent serving run: the
 // template is warmed and captured up front (pool mode primes the clone
-// pool from it), the scheduler runs on its own goroutine with a
-// weight-1 keeper holding the run open, and cfg.Tenants client
-// goroutines drive sessions concurrently — provision, serve
-// cfg.Requests times through spawned request threads, tear down —
-// using the sanctioned live-administration pattern throughout. The
+// pool from it), then cfg.Tenants client goroutines drive sessions
+// concurrently through the live scheduler — provision, serve
+// cfg.Requests times through spawned request threads, tear down. The
 // request argument sequence matches the sequential gateway's, so a
 // pool-mode run's checksum equals RunGateway's clone-mode checksum for
 // Tenants*SessionsPerTenant sessions: concurrency must not change
 // results.
 func RunGatewayConcurrent(cfg GatewayConcurrentConfig) (GatewayConcurrentResult, error) {
 	cfg.fill()
-	vm, host, err := gatewayVM(GatewayConfig{HeapLimit: cfg.HeapLimit})
-	if err != nil {
-		return GatewayConcurrentResult{}, err
-	}
-	world := vm.World()
-	reg := vm.Registry()
-	res := GatewayConcurrentResult{
-		Mode:    "cold",
-		Tenants: cfg.Tenants,
-	}
+	res := GatewayConcurrentResult{Mode: "cold", Tenants: cfg.Tenants}
 	if cfg.UsePool {
 		res.Mode = "pool"
 	}
-
-	// Keeper: the gateway host (Isolate0, governance-exempt) spins at
-	// weight 1 so the scheduler never quiesces between sessions.
-	host.SetWeight(1)
-	if err := host.Loader().Define(spinForeverClasses("gw/Keeper")); err != nil {
-		return res, err
-	}
-	kc, err := host.Loader().Lookup("gw/Keeper")
+	l, err := newLiveRun(interp.Options{HeapLimit: cfg.HeapLimit}, cfg.Governor)
 	if err != nil {
 		return res, err
 	}
-	km, err := kc.LookupMethod("attack", "()V")
-	if err != nil {
-		return res, err
-	}
-	if _, err := vm.SpawnThread("gw-keeper", host, km, nil); err != nil {
-		return res, err
-	}
+	vm := l.vm
 
-	// Template warm-up and capture happen before the scheduler starts
-	// (CallRoot drives the sequential engine). Cold mode needs no
-	// snapshot but shares the rest of the setup.
 	var (
-		snap   *interp.Snapshot
 		serveM *classfile.Method
 		pool   *serve.Pool
 	)
 	if cfg.UsePool {
-		tl := reg.NewLoader("gw-template")
-		if err := tl.DefineAll(GatewayClasses()); err != nil {
-			return res, err
-		}
-		wl := reg.NewLoader("gw-warmer")
-		warmer, err := world.NewIsolate("gw-warmer", wl)
-		if err != nil {
-			return res, err
-		}
-		wl.AddDelegate(tl)
-		app, err := tl.Lookup(GatewayAppClass)
-		if err != nil {
-			return res, err
-		}
-		serveM, err = app.LookupMethod("serve", "(I)I")
-		if err != nil {
-			return res, err
-		}
-		if _, th, err := vm.CallRoot(warmer, serveM, []heap.Value{heap.IntVal(1)}, 0); err != nil || th.Failure() != nil {
-			return res, fmt.Errorf("gateway warm-up: %v / %s", err, th.FailureString())
-		}
-		snap, err = vm.CaptureSnapshot(warmer, interp.SnapshotOptions{FreezeShared: cfg.FreezeShared})
+		snap, m, err := gatewayTemplate(vm, false)
 		if err != nil {
 			return res, err
 		}
 		defer snap.Release()
-		pool, err = serve.NewPool(vm, snap, serve.Config{Capacity: cfg.PoolCapacity, NamePrefix: "gw-pooled"})
+		serveM = m
+		pool, err = serve.NewPool(vm, snap, serve.Config{Capacity: cfg.Tenants, NamePrefix: "gw-pooled"})
 		if err != nil {
 			return res, err
 		}
 		defer pool.Close()
 	}
 
-	// Abusers: allocation-flood adversaries, threads pre-spawned so the
-	// governor sees their burn from the first window.
+	// 512-element flood arrays: the flood must stay over the governor's
+	// alloc criterion even after the deprioritize stage cuts its
+	// scheduling weight, so escalation reliably reaches the throttle
+	// stage the pool's admission shedding keys on.
 	abusers := make([]*core.Isolate, 0, cfg.Abusers)
 	for i := 0; i < cfg.Abusers; i++ {
-		iso, err := vm.NewIsolate(fmt.Sprintf("gw-abuser%d", i))
+		a, err := spawnAttacker(vm, i, AttackAllocFlood, 512)
 		if err != nil {
 			return res, err
 		}
-		// 512-byte payloads: the flood must stay over the governor's
-		// alloc criterion even after the deprioritize stage cuts its
-		// scheduling weight, so escalation reliably reaches the throttle
-		// stage the pool's admission shedding keys on.
-		cn := fmt.Sprintf("gwa/Flood%d", i)
-		if err := iso.Loader().Define(allocFloodClasses(cn, 512)); err != nil {
-			return res, err
-		}
-		c, err := iso.Loader().Lookup(cn)
-		if err != nil {
-			return res, err
-		}
-		m, err := c.LookupMethod("attack", "()V")
-		if err != nil {
-			return res, err
-		}
-		if _, err := vm.SpawnThread(fmt.Sprintf("gw-abuse%d", i), iso, m, nil); err != nil {
-			return res, err
-		}
-		abusers = append(abusers, iso)
+		abusers = append(abusers, a.iso)
 	}
 
-	var gov *sched.Governor
-	if cfg.Governed {
-		gcfg := sched.GovernorConfig{}
-		if cfg.Governor != nil {
-			gcfg = *cfg.Governor
-		}
-		gov = sched.NewGovernor(gcfg)
-	}
-	resCh := make(chan interp.RunResult, 1)
-	go func() {
-		resCh <- sched.RunConfig(vm, sched.Config{
-			Workers:  cfg.Workers,
-			Policy:   sched.PolicyProportional,
-			Governor: gov,
-		})
-	}()
-	for vm.TotalInstructions() == 0 {
-		time.Sleep(50 * time.Microsecond)
+	if err := l.start(gatewayWorkers, sched.PolicyProportional); err != nil {
+		return res, err
 	}
 
 	// Abuser admission clients: hammer Acquire so throttle-stage shedding
 	// is observable at the admission edge. Pre-throttle admissions give
-	// the slot straight back.
+	// the slot straight back. A governed run ends only after the pool has
+	// shed an abuser, so the outcome does not depend on how fast the
+	// tenants finish.
 	stopAbuse := make(chan struct{})
-	var abuseWG sync.WaitGroup
+	var (
+		abuseWG sync.WaitGroup
+		shed    atomic.Bool // an abuser's admission has been refused
+	)
 	if pool != nil {
 		for _, iso := range abusers {
 			abuseWG.Add(1)
@@ -637,8 +552,11 @@ func RunGatewayConcurrent(cfg GatewayConcurrentConfig) (GatewayConcurrentResult,
 						return
 					default:
 					}
-					if got, err := pool.Acquire(iso); err == nil {
+					got, err := pool.Acquire(iso)
+					if err == nil {
 						pool.Release(got)
+					} else if errors.Is(err, core.ErrThrottled) {
+						shed.Store(true)
 					}
 					time.Sleep(200 * time.Microsecond)
 				}
@@ -647,13 +565,13 @@ func RunGatewayConcurrent(cfg GatewayConcurrentConfig) (GatewayConcurrentResult,
 	}
 
 	var (
-		checksum   atomic.Int64
-		serves     atomic.Int64
-		spawnMu    sync.Mutex
-		spawnLats  []int64
-		serveLats  []int64
-		clientErr  atomic.Pointer[error]
-		wg         sync.WaitGroup
+		checksum  atomic.Int64
+		serves    atomic.Int64
+		spawnMu   sync.Mutex
+		spawnLats []int64
+		serveLats []int64
+		clientErr atomic.Pointer[error]
+		wg        sync.WaitGroup
 	)
 	fail := func(err error) { clientErr.CompareAndSwap(nil, &err) }
 	start := time.Now()
@@ -690,23 +608,8 @@ func RunGatewayConcurrent(cfg GatewayConcurrentConfig) (GatewayConcurrentResult,
 					m = serveM
 				} else {
 					name := fmt.Sprintf("gw-tenant-%d", session)
-					l := reg.NewLoader(name)
 					var err error
-					iso, err = world.NewIsolate(name, l)
-					if err != nil {
-						fail(err)
-						return
-					}
-					if err := l.DefineAll(GatewayClasses()); err != nil {
-						fail(err)
-						return
-					}
-					app, err := l.Lookup(GatewayAppClass)
-					if err != nil {
-						fail(err)
-						return
-					}
-					m, err = app.LookupMethod("serve", "(I)I")
+					iso, m, err = coldTenant(vm, name)
 					if err != nil {
 						fail(err)
 						return
@@ -714,16 +617,8 @@ func RunGatewayConcurrent(cfg GatewayConcurrentConfig) (GatewayConcurrentResult,
 					// The warm serve runs the heavy clinit on a scheduler
 					// worker; like the sequential cold leg, it is part of
 					// the spawn and excluded from the checksum.
-					th, err := vm.SpawnThread(name+":warm", iso, m, []heap.Value{heap.IntVal(1)})
-					if err != nil {
-						fail(err)
-						return
-					}
-					for !th.Done() {
-						time.Sleep(20 * time.Microsecond)
-					}
-					if th.Failure() != nil || th.Err() != nil {
-						fail(fmt.Errorf("session %d warm-up: %v / %s", session, th.Err(), th.FailureString()))
+					if _, _, err := l.request(name+":warm", iso, m, 1); err != nil {
+						fail(fmt.Errorf("session %d warm-up: %w", session, err))
 						return
 					}
 					serves.Add(1)
@@ -731,13 +626,13 @@ func RunGatewayConcurrent(cfg GatewayConcurrentConfig) (GatewayConcurrentResult,
 				mySpawn = append(mySpawn, vm.Clock()-t0)
 
 				for r := 0; r < cfg.Requests; r++ {
-					arg := int64(session*1000 + r)
-					var th *interp.Thread
+					name := fmt.Sprintf("gw-req-%d-%d", session, r)
 					for attempt := 0; ; attempt++ {
-						var err error
-						th, err = vm.SpawnThread(fmt.Sprintf("gw-req-%d-%d", session, r), iso, m,
-							[]heap.Value{heap.IntVal(arg)})
+						result, lat, err := l.request(name, iso, m, int64(session*1000+r))
 						if err == nil {
+							myServe = append(myServe, lat)
+							checksum.Add(result)
+							serves.Add(1)
 							break
 						}
 						if !errors.Is(err, core.ErrThrottled) || attempt > 1<<20 {
@@ -746,16 +641,6 @@ func RunGatewayConcurrent(cfg GatewayConcurrentConfig) (GatewayConcurrentResult,
 						}
 						time.Sleep(50 * time.Microsecond)
 					}
-					for !th.Done() {
-						time.Sleep(20 * time.Microsecond)
-					}
-					if th.Failure() != nil || th.Err() != nil {
-						fail(fmt.Errorf("session %d request %d: %v / %s", session, r, th.Err(), th.FailureString()))
-						return
-					}
-					myServe = append(myServe, th.FinishTick()-th.SpawnTick())
-					checksum.Add(th.Result().I)
-					serves.Add(1)
 				}
 
 				// Teardown: pool sessions return through the recycling
@@ -776,11 +661,15 @@ func RunGatewayConcurrent(cfg GatewayConcurrentConfig) (GatewayConcurrentResult,
 	}
 	wg.Wait()
 	res.Wall = time.Since(start)
+	if l.gov != nil && pool != nil && len(abusers) > 0 && clientErr.Load() == nil {
+		if !l.awaitGovernor(l.gov.Stats().Ticks+abuserShedWindows, shed.Load) {
+			fail(fmt.Errorf("gateway: no abuser shed within %d governor windows after the tenants finished", abuserShedWindows))
+		}
+	}
 	close(stopAbuse)
 	abuseWG.Wait()
 	res.TotalTicks = vm.Clock()
-	vm.Shutdown()
-	<-resCh
+	l.stop()
 	if pool != nil {
 		// Close first: it drains the dead list through the teardown
 		// pipeline, so the recycled counter is final rather than a
@@ -799,32 +688,21 @@ func RunGatewayConcurrent(cfg GatewayConcurrentConfig) (GatewayConcurrentResult,
 	res.Sessions = cfg.Tenants * cfg.SessionsPerTenant
 	res.Serves = int(serves.Load())
 	res.Checksum = checksum.Load()
-	sortInt64(spawnLats)
-	sortInt64(serveLats)
-	res.SpawnP50Ticks = pctTicks(spawnLats, 0.50)
-	res.SpawnP99Ticks = pctTicks(spawnLats, 0.99)
+	slices.Sort(spawnLats)
+	slices.Sort(serveLats)
+	res.SpawnP50Ticks = Quantile(spawnLats, 0.50)
+	res.SpawnP99Ticks = Quantile(spawnLats, 0.99)
 	if n := len(spawnLats); n > 0 {
 		res.SpawnMaxTicks = spawnLats[n-1]
 	}
-	res.ServeP50Ticks = pctTicks(serveLats, 0.50)
-	res.ServeP99Ticks = pctTicks(serveLats, 0.99)
+	res.ServeP50Ticks = Quantile(serveLats, 0.50)
+	res.ServeP99Ticks = Quantile(serveLats, 0.99)
 	if res.Wall > 0 {
 		res.ServesPerSec = float64(res.Serves) / res.Wall.Seconds()
 	}
 	res.GCs = vm.Heap().GCCount()
-	if gov != nil {
-		res.Governor = gov.Stats()
+	if l.gov != nil {
+		res.Governor = l.gov.Stats()
 	}
 	return res, nil
-}
-
-func sortInt64(v []int64) {
-	sort.Slice(v, func(i, j int) bool { return v[i] < v[j] })
-}
-
-func pctTicks(sorted []int64, p float64) int64 {
-	if len(sorted) == 0 {
-		return 0
-	}
-	return sorted[int(p*float64(len(sorted)-1))]
 }

@@ -143,7 +143,7 @@ func TestGatewayConcurrentPoolSpawnSpeedup(t *testing.T) {
 	}
 	pool, err := RunGatewayConcurrent(GatewayConcurrentConfig{
 		Tenants: tenants, Requests: 2, HeapLimit: 128 << 20,
-		UsePool: true, PoolCapacity: tenants,
+		UsePool: true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -174,7 +174,7 @@ func TestGatewayConcurrentPoolSpawnSpeedup(t *testing.T) {
 func TestGatewayConcurrentGovernedSheds(t *testing.T) {
 	res, err := RunGatewayConcurrent(GatewayConcurrentConfig{
 		Tenants: 4, SessionsPerTenant: 2, Requests: 4,
-		UsePool: true, Governed: true, Abusers: 2,
+		UsePool: true, Abusers: 2,
 		// The TestSLOGovernedUnderAttack tuning: windows small enough that
 		// a throttle streak fits in a short run, CPU criterion disabled so
 		// only the alloc/sleeper escalation paths fire.

@@ -1,8 +1,8 @@
 // Package mesh drives a microservice-mesh workload over the async
 // messaging layer: frontend isolates fan requests out to a pool of
 // service bundles through the OSGi registry, aggregate the responses,
-// and keep going while an administrator churns tenants underneath them
-// (bundle kill + fresh reinstall, the §4.3 response loop). Legs that
+// and keep going while tenants are churned underneath them (bundle
+// kill + fresh reinstall, the §4.3 response loop). Legs that
 // land on a saturated queue are rejected fail-fast; legs in flight to
 // a killed service fail and surface to the aggregator as cascading
 // timeouts rather than wedging the mesh.
@@ -11,7 +11,7 @@ package mesh
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -44,13 +44,10 @@ type Config struct {
 	// across isolates instead of deep-copying per leg.
 	ZeroCopy bool
 	// ChurnEvery kills and reinstalls one service bundle each time the
-	// mesh completes that many requests (0 disables churn).
+	// mesh completes that many requests (0 disables churn). The frontend
+	// whose request completes a multiple of ChurnEvery does the churn,
+	// so a run churns exactly Frontends*Requests/ChurnEvery times.
 	ChurnEvery int
-	// Retry makes frontends retry legs refused by transient
-	// backpressure (saturation, governor throttles) with jittered
-	// backoff instead of counting them rejected: pressure degrades to
-	// latency, not errors.
-	Retry bool
 }
 
 func (c *Config) fill() {
@@ -74,7 +71,6 @@ type Result struct {
 	Completed int64 // legs that returned a value
 	Failed    int64 // legs lost to kills, closed links, budgets
 	Rejected  int64 // legs refused fail-fast by queue backpressure
-	Retried   int64 // legs that went through the backoff-retry path
 	Churns    int   // kill + reinstall cycles performed
 	Checksum  int64 // sum of completed scalar results
 	Wall      time.Duration
@@ -84,8 +80,8 @@ type Result struct {
 }
 
 func (r *Result) String() string {
-	return fmt.Sprintf("mesh: %d req, %d ok / %d failed / %d rejected / %d retried legs, %d churns, p50=%s p99=%s, %.0f legs/s",
-		r.Requests, r.Completed, r.Failed, r.Rejected, r.Retried, r.Churns, r.P50, r.P99, r.Throughput)
+	return fmt.Sprintf("mesh: %d req, %d ok / %d failed / %d rejected legs, %d churns, p50=%s p99=%s, %.0f legs/s",
+		r.Requests, r.Completed, r.Failed, r.Rejected, r.Churns, r.P50, r.P99, r.Throughput)
 }
 
 const prefix = "mesh/svc/"
@@ -192,10 +188,11 @@ func Run(cfg Config) (*Result, error) {
 	opts := rpc.LinkOptions{QueueDepth: cfg.QueueDepth, ZeroCopy: cfg.ZeroCopy}
 
 	var (
-		completed, failed, rejected, retried, checksum, doneReqs int64
-		mismatch                                                 atomic.Value // first wrong-result error
-		latMu                                                    sync.Mutex
-		lats                                                     []time.Duration
+		completed, failed, rejected, checksum, doneReqs int64
+		churns                                          int          // guarded by hub.Sync
+		mismatch                                        atomic.Value // first wrong-result error
+		latMu                                           sync.Mutex
+		lats                                            []time.Duration
 	)
 	classify := func(err error) {
 		if errors.Is(err, rpc.ErrSaturated) {
@@ -204,70 +201,28 @@ func Run(cfg Config) (*Result, error) {
 			atomic.AddInt64(&failed, 1)
 		}
 	}
-
-	trafficDone := make(chan struct{})
-	churnDone := make(chan struct{})
-	churns := 0
-	if cfg.ChurnEvery > 0 {
-		go func() {
-			defer close(churnDone)
-			target := int64(cfg.ChurnEvery)
-			for {
-				for atomic.LoadInt64(&doneReqs) < target {
-					select {
-					case <-trafficDone:
-						return
-					case <-time.After(200 * time.Microsecond):
-					}
-				}
-				slot := churns % cfg.Services
-				// All administration — the kill, the reinstall's guest
-				// constructor — runs inside one Sync window so it lands
-				// between dispatch slices, never beside them.
-				hub.Sync(func() {
-					if err := fw.KillBundle(bundles[slot]); err != nil {
-						return
-					}
-					gen++
-					_ = install(slot) // a failed reinstall just shrinks the mesh
-				})
-				churns++
-				target += int64(cfg.ChurnEvery)
+	// churn kills and reinstalls the next service slot. All
+	// administration — the kill, the reinstall's guest constructor — runs
+	// inside one Sync window so it lands between dispatch slices, never
+	// beside them.
+	churn := func() {
+		hub.Sync(func() {
+			slot := churns % cfg.Services
+			churns++
+			if err := fw.KillBundle(bundles[slot]); err != nil {
+				return
 			}
-		}()
-	} else {
-		close(churnDone)
+			gen++
+			_ = install(slot) // a failed reinstall just shrinks the mesh
+		})
 	}
 
 	start := time.Now()
 	var wg sync.WaitGroup
-	for fi, f := range fronts {
+	for _, f := range fronts {
 		wg.Add(1)
-		go func(fi int, f *frontend) {
+		go func(f *frontend) {
 			defer wg.Done()
-			var bo *rpc.Backoff
-			if cfg.Retry {
-				bo = &rpc.Backoff{Seed: uint64(fi) + 1}
-			}
-			// retryLeg re-submits one service's leg under backoff: the
-			// full service name is a single-match fan-out prefix.
-			retryLeg := func(service string, args []heap.Value) (heap.Value, error) {
-				var v heap.Value
-				err := bo.Do(func() error {
-					legs := reg.FanOut(hub, f.iso, service, method, desc, opts, args)
-					if len(legs) == 0 {
-						return rpc.ErrLinkClosed // churned away mid-retry
-					}
-					if legs[0].Err != nil {
-						return legs[0].Err
-					}
-					v2, werr := legs[0].Fut.Wait()
-					legs[0].Fut.Release()
-					v = v2
-					return werr
-				})
-				return v, err
-			}
 			myLats := make([]time.Duration, 0, cfg.Requests)
 			for r := 0; r < cfg.Requests; r++ {
 				x := int64(r % 1000)
@@ -285,10 +240,6 @@ func Run(cfg Config) (*Result, error) {
 						v, err = leg.Fut.Wait()
 						leg.Fut.Release()
 					}
-					if err != nil && bo != nil && rpc.Retryable(err) {
-						atomic.AddInt64(&retried, 1)
-						v, err = retryLeg(leg.Service, args)
-					}
 					if err != nil {
 						classify(err)
 						continue
@@ -300,16 +251,16 @@ func Run(cfg Config) (*Result, error) {
 					}
 				}
 				myLats = append(myLats, time.Since(t0))
-				atomic.AddInt64(&doneReqs, 1)
+				if n := atomic.AddInt64(&doneReqs, 1); cfg.ChurnEvery > 0 && n%int64(cfg.ChurnEvery) == 0 {
+					churn()
+				}
 			}
 			latMu.Lock()
 			lats = append(lats, myLats...)
 			latMu.Unlock()
-		}(fi, f)
+		}(f)
 	}
 	wg.Wait()
-	close(trafficDone)
-	<-churnDone
 	wall := time.Since(start)
 
 	// Teardown: unregistering closes the cached fan-out links.
@@ -317,25 +268,17 @@ func Run(cfg Config) (*Result, error) {
 		reg.Unregister(serviceName(slot))
 	}
 
-	sort.Slice(lats, func(i, j int) bool { return lats[i] < lats[j] })
-	pct := func(p float64) time.Duration {
-		if len(lats) == 0 {
-			return 0
-		}
-		i := int(p * float64(len(lats)-1))
-		return lats[i]
-	}
+	slices.Sort(lats)
 	res := &Result{
 		Requests:  cfg.Frontends * cfg.Requests,
 		Completed: completed,
 		Failed:    failed,
 		Rejected:  rejected,
-		Retried:   retried,
 		Churns:    churns,
 		Checksum:  checksum,
 		Wall:      wall,
-		P50:       pct(0.50),
-		P99:       pct(0.99),
+		P50:       workloads.Quantile(lats, 0.50),
+		P99:       workloads.Quantile(lats, 0.99),
 	}
 	if wall > 0 {
 		res.Throughput = float64(completed) / wall.Seconds()

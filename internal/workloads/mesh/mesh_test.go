@@ -30,14 +30,13 @@ func TestMeshNoChurnIsLossless(t *testing.T) {
 // Under tenant churn the mesh keeps serving: kills surface as failed
 // legs (cascading timeouts), never as wrong answers or a wedged run.
 func TestMeshSurvivesChurn(t *testing.T) {
-	res, err := mesh.Run(mesh.Config{
-		Services: 3, Frontends: 3, Requests: 25, QueueDepth: 8, ChurnEvery: 10,
-	})
+	cfg := mesh.Config{Services: 3, Frontends: 3, Requests: 25, QueueDepth: 8, ChurnEvery: 10}
+	res, err := mesh.Run(cfg)
 	if err != nil {
 		t.Fatalf("mesh: %v (%s)", err, res)
 	}
-	if res.Churns == 0 {
-		t.Fatalf("churn never fired: %s", res)
+	if want := cfg.Frontends * cfg.Requests / cfg.ChurnEvery; res.Churns != want {
+		t.Fatalf("churned %d times, want %d: %s", res.Churns, want, res)
 	}
 	if res.Completed == 0 {
 		t.Fatalf("no leg completed under churn: %s", res)

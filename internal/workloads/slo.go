@@ -3,24 +3,14 @@
 // allocation floods, monitor hogs, cross-isolate call floods) run beside
 // them on the concurrent scheduler. The harness runs one scheduling leg
 // per configuration — round-robin vs proportional-share, governed vs
-// not — and reports tail-latency percentiles and goodput, turning the
-// attack suite from a pass/fail gate into a continuous isolation-quality
-// metric.
-//
-// Latency is measured on the VM's virtual clock (1 tick per executed
-// instruction; 1000 ticks = 1 virtual millisecond, the syslib
-// currentTimeMillis convention), stamped by the worker that finishes the
-// request thread. Wall-clock latency on a host with few CPUs measures Go
-// runtime goroutine scheduling — the completion-poll goroutine can wait
-// ~10ms for a sysmon preemption while VM workers saturate GOMAXPROCS —
-// whereas virtual-clock latency measures exactly what the VM scheduler
-// controls: how many instructions the rest of the world executed while a
-// tenant request waited and ran.
+// not — and reports tail-latency percentiles (live.go's virtual-tick
+// contract) and goodput, turning the attack suite from a pass/fail gate
+// into a continuous isolation-quality metric.
 package workloads
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -31,7 +21,6 @@ import (
 	"ijvm/internal/heap"
 	"ijvm/internal/interp"
 	"ijvm/internal/sched"
-	"ijvm/internal/syslib"
 )
 
 // AttackerKind names one adversarial tenant in the SLO harness.
@@ -76,18 +65,18 @@ type SLOConfig struct {
 	// RoundRobin selects the FIFO baseline scheduler leg instead of
 	// proportional share.
 	RoundRobin bool
-	// Governed attaches a governor (admission control / load shedding).
-	Governed bool
-	// Governor overrides the governor tuning (nil = defaults); only
-	// meaningful with Governed.
+	// Governor, when non-nil, attaches a governor with this tuning
+	// (admission control / load shedding); nil runs ungoverned.
 	Governor *sched.GovernorConfig
 	// Workers is the scheduler worker count. Default 2.
 	Workers int
-	// HeapLimit is the VM heap size. Default 32 MiB.
-	HeapLimit int64
-	// MaxThreads bounds the VM thread population. Default 256.
-	MaxThreads int
 }
+
+// The SLO VM's heap size and thread-table bound.
+const (
+	sloHeapLimit  = 32 << 20
+	sloMaxThreads = 256
+)
 
 func (c *SLOConfig) fill() {
 	if c.Tenants <= 0 {
@@ -101,12 +90,6 @@ func (c *SLOConfig) fill() {
 	}
 	if c.Workers <= 0 {
 		c.Workers = 2
-	}
-	if c.HeapLimit <= 0 {
-		c.HeapLimit = 32 << 20
-	}
-	if c.MaxThreads <= 0 {
-		c.MaxThreads = 256
 	}
 }
 
@@ -131,7 +114,7 @@ type SLOResult struct {
 	// P50/P99/P999 are tenant request latencies in virtual ticks
 	// (spawn to finish on the VM clock; 1000 ticks = 1 virtual ms).
 	P50, P99, P999 int64
-	// TotalTicks is the VM clock at the end of the leg.
+	// TotalTicks is the VM clock when the last tenant request finished.
 	TotalTicks int64
 	// Goodput is completed tenant requests per second of wall time.
 	// (Virtual-time goodput would penalize work conservation: between
@@ -140,7 +123,10 @@ type SLOResult struct {
 	Goodput float64
 	// TenantInstructions / AttackerInstructions split the executed
 	// instructions between the well-behaved and adversarial tenants
-	// (the obtained-share view of proportional fairness).
+	// (the obtained-share view of proportional fairness). Attacker
+	// figures and fates cover the whole leg, including the tail an
+	// attacked governed leg runs after the tenants finish
+	// (governedMinWindows).
 	TenantInstructions   int64
 	AttackerInstructions int64
 	// Governor is the governor's counter snapshot (zero when
@@ -175,8 +161,7 @@ func tenantClasses(cn string) *classfile.Class {
 		}).MustBuild()
 }
 
-// spinForeverClasses builds the A6-style spinner (also the keeper that
-// holds the run open in the no-attack baseline).
+// spinForeverClasses builds the A6-style spinner.
 func spinForeverClasses(cn string) *classfile.Class {
 	return classfile.NewClass(cn).
 		Method("attack", "()V", classfile.FlagStatic|classfile.FlagPublic, func(a *bytecode.Assembler) {
@@ -253,44 +238,94 @@ func callFloodClasses(cn, peerCn string) (main, peer *classfile.Class) {
 	return main, peer
 }
 
+// attacker is one adversarial isolate whose thread is spawned before
+// the scheduler starts, so the governor sees its burn from the first
+// window.
+type attacker struct {
+	kind AttackerKind
+	iso  *core.Isolate
+	// peer is the second attacker-owned isolate a call flood calls into.
+	peer *core.Isolate
+}
+
+// hogThreads is how many sleepers a monitor hog starts: half the SLO
+// VM's thread table, enough to trip any sleeper gauge many times over
+// but never enough to wedge the VM — an exhausted global table would
+// turn every leg (including the ungoverned baseline) into a deadlock
+// instead of a latency measurement.
+const hogThreads = sloMaxThreads / 2
+
+// spawnAttacker builds the i-th attacker of the given kind and spawns
+// its thread; floodLen sizes an allocation flood's arrays.
+func spawnAttacker(vm *interp.VM, i int, kind AttackerKind, floodLen int) (*attacker, error) {
+	iso, err := vm.NewIsolate(fmt.Sprintf("attacker%d-%s", i, kind))
+	if err != nil {
+		return nil, err
+	}
+	a := &attacker{kind: kind, iso: iso}
+	cn := fmt.Sprintf("atk/Attack%d", i)
+	entry := "()V"
+	var args []heap.Value
+	switch kind {
+	case AttackSpin:
+		err = iso.Loader().Define(spinForeverClasses(cn))
+	case AttackAllocFlood:
+		err = iso.Loader().Define(allocFloodClasses(cn, floodLen))
+	case AttackMonitorHog:
+		err = iso.Loader().DefineAll(monitorHogClasses(cn))
+		entry = "(I)V"
+		args = []heap.Value{heap.IntVal(hogThreads)}
+	case AttackCallFlood:
+		a.peer, err = vm.NewIsolate(fmt.Sprintf("attacker%d-peer", i))
+		if err != nil {
+			return nil, err
+		}
+		peerCn := fmt.Sprintf("atkpeer/Peer%d", i)
+		mainC, peerC := callFloodClasses(cn, peerCn)
+		if err := a.peer.Loader().Define(peerC); err != nil {
+			return nil, err
+		}
+		iso.Loader().AddDelegate(a.peer.Loader())
+		err = iso.Loader().Define(mainC)
+	default:
+		return nil, fmt.Errorf("unknown attacker kind %q", kind)
+	}
+	if err != nil {
+		return nil, err
+	}
+	c, err := iso.Loader().Lookup(cn)
+	if err != nil {
+		return nil, err
+	}
+	m, err := c.LookupMethod("attack", entry)
+	if err != nil {
+		return nil, err
+	}
+	if _, err := vm.SpawnThread(fmt.Sprintf("atk:%s", kind), iso, m, args); err != nil {
+		return nil, err
+	}
+	return a, nil
+}
+
+// governedMinWindows is the fewest governor windows an attacked governed
+// leg lasts: the attackers keep running after the tenants finish until
+// the governor has sampled this many. That is room for the default
+// escalation ladder (one priming window, then deprioritize after 2,
+// throttle after 3 and kill after 6 consecutive hot windows) twice over,
+// so the attackers' fates do not depend on how fast the tenants
+// finished.
+const governedMinWindows = 16
+
 // RunSLO executes one leg of the adversarial SLO harness and returns
-// its latency/goodput aggregate. The scheduler runs on its own
-// goroutine while host-side closed-loop clients spawn tenant request
-// threads and poll their completion — the sanctioned live-administration
-// pattern (observe the run via TotalInstructions before administering).
+// its latency/goodput aggregate: host-side closed-loop clients, one per
+// tenant, issue requests into the live scheduler while the attackers run.
 func RunSLO(cfg SLOConfig) (*SLOResult, error) {
 	cfg.fill()
-	vm := interp.NewVM(interp.Options{
-		Mode:       core.ModeIsolated,
-		HeapLimit:  cfg.HeapLimit,
-		MaxThreads: cfg.MaxThreads,
-	})
-	syslib.MustInstall(vm)
-
-	// The keeper is created first so it becomes Isolate0, the OSGi
-	// runtime: exempt from governance, unkillable, and the governor's
-	// killer credential for the §3.3 path. At weight 1 it only consumes
-	// CPU nobody else wants; its spin holds the run open (the scheduler
-	// never quiesces to AllDone between tenant requests) until Shutdown.
-	keeperIso, err := vm.NewIsolate("keeper")
+	l, err := newLiveRun(interp.Options{HeapLimit: sloHeapLimit, MaxThreads: sloMaxThreads}, cfg.Governor)
 	if err != nil {
 		return nil, err
 	}
-	keeperIso.SetWeight(1)
-	if err := keeperIso.Loader().Define(spinForeverClasses("slo/Keeper")); err != nil {
-		return nil, err
-	}
-	kc, err := keeperIso.Loader().Lookup("slo/Keeper")
-	if err != nil {
-		return nil, err
-	}
-	km, err := kc.LookupMethod("attack", "()V")
-	if err != nil {
-		return nil, err
-	}
-	if _, err := vm.SpawnThread("keeper", keeperIso, km, nil); err != nil {
-		return nil, err
-	}
+	vm := l.vm
 
 	// Tenants: interactive class, default weight.
 	type tenant struct {
@@ -319,100 +354,21 @@ func RunSLO(cfg SLOConfig) (*SLOResult, error) {
 		tenants[i] = &tenant{iso: iso, work: m}
 	}
 
-	// Attackers: one isolate per kind (call floods get a second,
-	// attacker-owned peer isolate), threads pre-spawned.
-	type attacker struct {
-		kind AttackerKind
-		iso  *core.Isolate
-	}
 	attackers := make([]*attacker, 0, len(cfg.Attackers))
 	for i, kind := range cfg.Attackers {
-		iso, err := vm.NewIsolate(fmt.Sprintf("attacker%d-%s", i, kind))
+		a, err := spawnAttacker(vm, i, kind, 64)
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("slo: %w", err)
 		}
-		cn := fmt.Sprintf("atk/Attack%d", i)
-		var entry string
-		var args []heap.Value
-		switch kind {
-		case AttackSpin:
-			if err := iso.Loader().Define(spinForeverClasses(cn)); err != nil {
-				return nil, err
-			}
-			entry = "()V"
-		case AttackAllocFlood:
-			if err := iso.Loader().Define(allocFloodClasses(cn, 64)); err != nil {
-				return nil, err
-			}
-			entry = "()V"
-		case AttackMonitorHog:
-			if err := iso.Loader().DefineAll(monitorHogClasses(cn)); err != nil {
-				return nil, err
-			}
-			entry = "(I)V"
-			// Target half the thread table: enough to trip any sleeper
-			// gauge many times over, but never enough to wedge the VM —
-			// an exhausted global table would turn every leg (including
-			// the ungoverned baseline) into a deadlock instead of a
-			// latency measurement.
-			args = []heap.Value{heap.IntVal(int64(cfg.MaxThreads / 2))}
-		case AttackCallFlood:
-			peerIso, err := vm.NewIsolate(fmt.Sprintf("attacker%d-peer", i))
-			if err != nil {
-				return nil, err
-			}
-			peerCn := fmt.Sprintf("atkpeer/Peer%d", i)
-			mainC, peerC := callFloodClasses(cn, peerCn)
-			if err := peerIso.Loader().Define(peerC); err != nil {
-				return nil, err
-			}
-			iso.Loader().AddDelegate(peerIso.Loader())
-			if err := iso.Loader().Define(mainC); err != nil {
-				return nil, err
-			}
-			entry = "()V"
-		default:
-			return nil, fmt.Errorf("slo: unknown attacker kind %q", kind)
-		}
-		c, err := iso.Loader().Lookup(cn)
-		if err != nil {
-			return nil, err
-		}
-		m, err := c.LookupMethod("attack", entry)
-		if err != nil {
-			return nil, err
-		}
-		if _, err := vm.SpawnThread(fmt.Sprintf("atk:%s", kind), iso, m, args); err != nil {
-			return nil, err
-		}
-		attackers = append(attackers, &attacker{kind: kind, iso: iso})
+		attackers = append(attackers, a)
 	}
 
-	var gov *sched.Governor
-	if cfg.Governed {
-		gcfg := sched.GovernorConfig{}
-		if cfg.Governor != nil {
-			gcfg = *cfg.Governor
-		}
-		gov = sched.NewGovernor(gcfg)
-	}
 	policy := sched.PolicyProportional
 	if cfg.RoundRobin {
 		policy = sched.PolicyRoundRobin
 	}
-
-	resCh := make(chan interp.RunResult, 1)
-	go func() {
-		resCh <- sched.RunConfig(vm, sched.Config{
-			Workers:  cfg.Workers,
-			Policy:   policy,
-			Governor: gov,
-		})
-	}()
-	// Observe the run before administering it (the pool must have
-	// installed its safepoint machinery before host-side spawns arrive).
-	for vm.TotalInstructions() == 0 {
-		time.Sleep(50 * time.Microsecond)
+	if err := l.start(cfg.Workers, policy); err != nil {
+		return nil, err
 	}
 
 	var completed, failed int64
@@ -426,21 +382,8 @@ func RunSLO(cfg SLOConfig) (*SLOResult, error) {
 			defer wg.Done()
 			myLats := make([]int64, 0, cfg.RequestsPerTenant)
 			for r := 0; r < cfg.RequestsPerTenant; r++ {
-				th, err := vm.SpawnThread(fmt.Sprintf("req:t%d-%d", ti, r), tn.iso, tn.work,
-					[]heap.Value{heap.IntVal(int64(cfg.WorkIters))})
-				if err != nil {
-					atomic.AddInt64(&failed, 1)
-					continue
-				}
-				// The poll only detects completion; the latency itself is
-				// the worker-stamped virtual interval, so poll granularity
-				// (which can reach Go sysmon preemption scale when VM
-				// workers saturate the host CPUs) does not distort it.
-				for !th.Done() {
-					time.Sleep(20 * time.Microsecond)
-				}
-				lat := th.FinishTick() - th.SpawnTick()
-				if th.Failure() != nil || th.Err() != nil || th.Result().I != int64(cfg.WorkIters) {
+				result, lat, err := l.request(fmt.Sprintf("req:t%d-%d", ti, r), tn.iso, tn.work, int64(cfg.WorkIters))
+				if err != nil || result != int64(cfg.WorkIters) {
 					atomic.AddInt64(&failed, 1)
 					continue
 				}
@@ -455,59 +398,46 @@ func RunSLO(cfg SLOConfig) (*SLOResult, error) {
 	wg.Wait()
 	wall := time.Since(start)
 	totalTicks := vm.Clock()
-	vm.Shutdown()
-	runRes := <-resCh
-
-	sort.Slice(lats, func(i, j int) bool { return lats[i] < lats[j] })
-	pct := func(p float64) int64 {
-		if len(lats) == 0 {
-			return 0
-		}
-		i := int(p * float64(len(lats)-1))
-		return lats[i]
+	if l.gov != nil && len(attackers) > 0 {
+		l.awaitGovernor(governedMinWindows, nil)
 	}
+	runRes := l.stop()
+
+	slices.Sort(lats)
 	res := &SLOResult{
 		Requests:   cfg.Tenants * cfg.RequestsPerTenant,
 		Completed:  completed,
 		Failed:     failed,
 		Wall:       wall,
-		P50:        pct(0.50),
-		P99:        pct(0.99),
-		P999:       pct(0.999),
+		P50:        Quantile(lats, 0.50),
+		P99:        Quantile(lats, 0.99),
+		P999:       Quantile(lats, 0.999),
 		TotalTicks: totalTicks,
 	}
 	if wall > 0 {
 		res.Goodput = float64(completed) / wall.Seconds()
 	}
-	if gov != nil {
-		res.Governor = gov.Stats()
+	if l.gov != nil {
+		res.Governor = l.gov.Stats()
 	}
-	attackerByIso := make(map[string]*attacker, len(attackers))
+	byName := make(map[string]interp.IsolateRun, len(runRes.PerIsolate))
+	for _, ir := range runRes.PerIsolate {
+		byName[ir.Name] = ir
+	}
+	for _, tn := range tenants {
+		res.TenantInstructions += byName[tn.iso.Name()].Instructions
+	}
 	for _, a := range attackers {
-		attackerByIso[a.iso.Name()] = a
-	}
-	for _, ir := range runRes.PerIsolate {
-		if a, ok := attackerByIso[ir.Name]; ok {
-			fate := AttackerFate{Kind: a.kind, Killed: ir.Killed, Instructions: ir.Instructions}
-			if gov != nil {
-				fate.Stage = gov.StageOf(a.iso)
-			}
-			res.Attackers = append(res.Attackers, fate)
-			res.AttackerInstructions += ir.Instructions
-			continue
+		ir := byName[a.iso.Name()]
+		res.AttackerInstructions += ir.Instructions
+		if a.peer != nil { // call-flood peers are attacker CPU too
+			res.AttackerInstructions += byName[a.peer.Name()].Instructions
 		}
-		for _, tn := range tenants {
-			if tn.iso.Name() == ir.Name {
-				res.TenantInstructions += ir.Instructions
-				break
-			}
+		fate := AttackerFate{Kind: a.kind, Killed: ir.Killed, Instructions: ir.Instructions}
+		if l.gov != nil {
+			fate.Stage = l.gov.StageOf(a.iso)
 		}
-	}
-	// Call-flood peers are attacker CPU too.
-	for _, ir := range runRes.PerIsolate {
-		if len(ir.Name) > 5 && ir.Name[len(ir.Name)-5:] == "-peer" {
-			res.AttackerInstructions += ir.Instructions
-		}
+		res.Attackers = append(res.Attackers, fate)
 	}
 	return res, nil
 }

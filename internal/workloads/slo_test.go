@@ -34,21 +34,19 @@ func TestSLONoAttackBaseline(t *testing.T) {
 // completes, and the governor escalates the monitor hog at least to the
 // throttle stage (its sleeper gauge never calms down).
 //
-// The leg ends when the tenants finish, so its total instruction budget
-// shrinks under -race (the attackers get fewer wall-seconds of CPU).
-// The window is therefore sized well below the leg's tenant-bound
-// instruction total so a throttle streak always fits, and the CPU
-// criterion is disabled outright (CPUFactor 100): this test asserts the
-// sleeper/alloc escalation paths, and with a window this small the CPU
-// path could misfire on a bursty tenant (see the README tuning note —
-// the latency acceptance tests keep the big window instead).
+// An attacked governed leg runs until the governor has sampled a fixed
+// number of windows, however fast the tenants finish, so a throttle
+// streak always fits. The CPU criterion is disabled outright (CPUFactor
+// 100): this test asserts the sleeper/alloc escalation paths, and with a
+// window this small the CPU path could misfire on a bursty tenant (see
+// the README tuning note — the latency acceptance tests keep the big
+// window instead).
 func TestSLOGovernedUnderAttack(t *testing.T) {
 	res, err := workloads.RunSLO(workloads.SLOConfig{
 		Tenants:           2,
 		RequestsPerTenant: 8,
 		WorkIters:         1500,
 		Attackers:         workloads.AllAttackers(),
-		Governed:          true,
 		Governor: &sched.GovernorConfig{
 			WindowInstrs:        32768,
 			CPUFactor:           100,
@@ -96,7 +94,6 @@ func TestSLOGovernedTailWithinBaseline(t *testing.T) {
 			WorkIters:         2000,
 			Workers:           1,
 			Attackers:         attackers,
-			Governed:          true,
 			Governor:          &sched.GovernorConfig{WindowInstrs: 131072},
 		})
 		if err != nil {

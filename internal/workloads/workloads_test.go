@@ -106,3 +106,34 @@ func TestSpecRunnerRepeatable(t *testing.T) {
 		t.Fatalf("non-deterministic workload: %d then %d", first, second)
 	}
 }
+
+// TestQuantileIndex pins the floor(p·(n−1)) index every latency
+// percentile in the workloads uses, so a change to the helper cannot
+// silently shift a reported p99.
+func TestQuantileIndex(t *testing.T) {
+	ps := []float64{0.5, 0.99, 0.999}
+	for _, tc := range []struct {
+		n    int
+		want []int64 // index picked for each p; -1 = empty sample
+	}{
+		{0, []int64{-1, -1, -1}},
+		{1, []int64{0, 0, 0}},
+		{2, []int64{0, 0, 0}},
+		{100, []int64{49, 98, 98}},
+		{1000, []int64{499, 989, 998}},
+	} {
+		sample := make([]int64, tc.n)
+		for i := range sample {
+			sample[i] = 10 * int64(i)
+		}
+		for i, p := range ps {
+			want := int64(0)
+			if tc.want[i] >= 0 {
+				want = sample[tc.want[i]]
+			}
+			if got := workloads.Quantile(sample, p); got != want {
+				t.Errorf("Quantile(n=%d, p=%v) = %d, want %d", tc.n, p, got, want)
+			}
+		}
+	}
+}
