@@ -610,9 +610,7 @@ func TestEmitInterpBench(t *testing.T) {
 	}
 	type invokeSite struct {
 		Site                string  `json:"site"`
-		ResolveCacheMinstrS float64 `json:"resolvecache_minstr_s"` // DisableInlineCaches: the pre-IC dispatch
 		InlineCachedMinstrS float64 `json:"inline_cached_minstr_s"`
-		SpeedupPercent      float64 `json:"speedup_percent"`
 	}
 	type allocCurve struct {
 		GlobalLockedMallocsS float64 `json:"global_locked_mallocs_s"` // seed admission: one mutex for admit + stats + metrics
@@ -625,12 +623,9 @@ func TestEmitInterpBench(t *testing.T) {
 		SpeedupPercent    float64 `json:"speedup_percent"`
 	}
 	type tierCurve struct {
-		SeedMinstrS       float64 `json:"seed_minstr_s"`     // unquickened checked switch
-		PreparedMinstrS   float64 `json:"prepared_minstr_s"` // quickened table, no fusion (PR-7 engine)
-		FusedMinstrS      float64 `json:"fused_minstr_s"`    // + superinstructions
-		ClosureMinstrS    float64 `json:"closure_minstr_s"`  // + closure-threaded hot tier
-		FusedVsPrepared   float64 `json:"fused_vs_prepared"`
-		ClosureVsPrepared float64 `json:"closure_vs_prepared"`
+		SeedMinstrS    float64 `json:"seed_minstr_s"`    // unquickened checked switch
+		FusedMinstrS   float64 `json:"fused_minstr_s"`   // quickened table + superinstructions
+		ClosureMinstrS float64 `json:"closure_minstr_s"` // + closure-threaded hot tier
 	}
 	type gcCurve struct {
 		FullSTWPauseMs        float64 `json:"full_stw_pause_ms"` // monolithic mark+sweep, 20k-object live graph
@@ -686,16 +681,10 @@ func TestEmitInterpBench(t *testing.T) {
 		MeshP50Us         float64 `json:"mesh_p50_us"`
 		MeshP99Us         float64 `json:"mesh_p99_us"`
 	}
-	bestInvoke := func(k int, disableIC bool) float64 {
-		return bestMinstr("BenchmarkInvoke_", func(b *testing.B) { benchInvoke(b, k, disableIC) })
-	}
 	mkSite := func(name string, k int) invokeSite {
-		before, after := bestInvoke(k, true), bestInvoke(k, false)
 		return invokeSite{
 			Site:                name,
-			ResolveCacheMinstrS: before,
-			InlineCachedMinstrS: after,
-			SpeedupPercent:      (after/before - 1) * 100,
+			InlineCachedMinstrS: bestMinstr("BenchmarkInvoke_", func(b *testing.B) { benchInvoke(b, k) }),
 		}
 	}
 	bestAlloc := func(shardLocal bool) float64 {
@@ -716,7 +705,6 @@ func TestEmitInterpBench(t *testing.T) {
 		return bestMinstr("BenchmarkTier_", func(b *testing.B) { benchTier(b, cfg) })
 	}
 	tierSeedV := bestTier(tierSeed)
-	tierPrepV := bestTier(tierPrepared)
 	tierFusedV := bestTier(tierFused)
 	tierClosV := bestTier(tierClosure)
 	measureGCPauses := func() (fullMs, termMs float64) {
@@ -909,12 +897,9 @@ func TestEmitInterpBench(t *testing.T) {
 			SpeedupPercent:    (fieldAfter/fieldBefore - 1) * 100,
 		},
 		Tier: tierCurve{
-			SeedMinstrS:       tierSeedV,
-			PreparedMinstrS:   tierPrepV,
-			FusedMinstrS:      tierFusedV,
-			ClosureMinstrS:    tierClosV,
-			FusedVsPrepared:   tierFusedV / tierPrepV,
-			ClosureVsPrepared: tierClosV / tierPrepV,
+			SeedMinstrS:    tierSeedV,
+			FusedMinstrS:   tierFusedV,
+			ClosureMinstrS: tierClosV,
 		},
 		GC: gcCurve{
 			FullSTWPauseMs:        gcFullMs,
@@ -962,15 +947,12 @@ func TestEmitInterpBench(t *testing.T) {
 	t.Logf("wrote BENCH_interp.json: %s", data)
 }
 
-// --- Invoke microbenchmarks (inline caches vs resolveCache) --------------
+// --- Invoke microbenchmarks (polymorphic inline caches) -------------------
 //
-// One hot invokevirtual site dispatching over k receiver classes,
-// measured with the per-site polymorphic inline caches on (default) and
-// off (DisableInlineCaches: every call resolves through the per-class
-// resolution cache — the pre-IC dispatch). k=1 is the monomorphic
-// steady state, k=4 fills a polymorphic cache line, k=8 degrades the
-// site to megamorphic (where both configurations share the
-// resolveCache path).
+// One hot invokevirtual site dispatching over k receiver classes through
+// the per-site polymorphic inline caches. k=1 is the monomorphic steady
+// state, k=4 fills a polymorphic cache line, k=8 degrades the site to
+// megamorphic (resolved through the per-class resolution cache).
 //
 // NOTE: numbers in BENCH_interp.json come from the 1-CPU CI container
 // (GOMAXPROCS=1); like the scheduler benchmarks above, multi-core
@@ -1021,8 +1003,8 @@ func invokeBenchClasses(k int) []*classfile.Class {
 }
 
 // invokeBenchVM builds the call-heavy benchmark VM.
-func invokeBenchVM(k int, disableIC bool) (*interp.VM, *core.Isolate, *classfile.Method, error) {
-	vm := interp.NewVM(interp.Options{Mode: core.ModeIsolated, DisableInlineCaches: disableIC})
+func invokeBenchVM(k int) (*interp.VM, *core.Isolate, *classfile.Method, error) {
+	vm := interp.NewVM(interp.Options{Mode: core.ModeIsolated})
 	syslib.MustInstall(vm)
 	iso, err := vm.NewIsolate("main")
 	if err != nil {
@@ -1042,9 +1024,9 @@ func invokeBenchVM(k int, disableIC bool) (*interp.VM, *core.Isolate, *classfile
 	return vm, iso, m, nil
 }
 
-func benchInvoke(b *testing.B, k int, disableIC bool) {
+func benchInvoke(b *testing.B, k int) {
 	b.Helper()
-	vm, iso, m, err := invokeBenchVM(k, disableIC)
+	vm, iso, m, err := invokeBenchVM(k)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -1064,12 +1046,9 @@ func benchInvoke(b *testing.B, k int, disableIC bool) {
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/invokeBenchInner, "ns/call")
 }
 
-func BenchmarkInvoke_Monomorphic(b *testing.B)       { benchInvoke(b, 1, false) }
-func BenchmarkInvoke_Monomorphic_NoIC(b *testing.B)  { benchInvoke(b, 1, true) }
-func BenchmarkInvoke_Polymorphic4(b *testing.B)      { benchInvoke(b, 4, false) }
-func BenchmarkInvoke_Polymorphic4_NoIC(b *testing.B) { benchInvoke(b, 4, true) }
-func BenchmarkInvoke_Megamorphic8(b *testing.B)      { benchInvoke(b, 8, false) }
-func BenchmarkInvoke_Megamorphic8_NoIC(b *testing.B) { benchInvoke(b, 8, true) }
+func BenchmarkInvoke_Monomorphic(b *testing.B)  { benchInvoke(b, 1) }
+func BenchmarkInvoke_Polymorphic4(b *testing.B) { benchInvoke(b, 4) }
+func BenchmarkInvoke_Megamorphic8(b *testing.B) { benchInvoke(b, 8) }
 
 // --- Allocation microbenchmarks (sharded memory subsystem) ----------------
 //
@@ -1364,10 +1343,9 @@ func BenchmarkField_GetPut_Unprepared(b *testing.B) { benchField(b, true) }
 
 // --- Tier microbenchmarks (superinstruction fusion + closure tier) --------
 //
-// One hot arithmetic loop measured across the four dispatch tiers:
+// One hot arithmetic loop measured across the three dispatch tiers:
 //
 //	seed     — unquickened checked switch (DisablePrepare)
-//	prepared — quickened table dispatch, fusion off (the PR-7 engine)
 //	fused    — quickened + superinstruction fusion, closure tier off
 //	closure  — fused + closure-threaded hot tier (promoted on first call)
 //
@@ -1385,7 +1363,6 @@ type tierBenchConfig int
 
 const (
 	tierSeed tierBenchConfig = iota
-	tierPrepared
 	tierFused
 	tierClosure
 )
@@ -1395,9 +1372,6 @@ func (c tierBenchConfig) options() interp.Options {
 	switch c {
 	case tierSeed:
 		o.DisablePrepare = true
-	case tierPrepared:
-		o.DisableFusion = true
-		o.TierPromoteThreshold = -1
 	case tierFused:
 		o.TierPromoteThreshold = -1
 	case tierClosure:
@@ -1464,10 +1438,9 @@ func benchTier(b *testing.B, cfg tierBenchConfig) {
 	b.ReportMetric(float64(instrs)/1e6/b.Elapsed().Seconds(), "Minstr/s")
 }
 
-func BenchmarkTier_Seed(b *testing.B)     { benchTier(b, tierSeed) }
-func BenchmarkTier_Prepared(b *testing.B) { benchTier(b, tierPrepared) }
-func BenchmarkTier_Fused(b *testing.B)    { benchTier(b, tierFused) }
-func BenchmarkTier_Closure(b *testing.B)  { benchTier(b, tierClosure) }
+func BenchmarkTier_Seed(b *testing.B)    { benchTier(b, tierSeed) }
+func BenchmarkTier_Fused(b *testing.B)   { benchTier(b, tierFused) }
+func BenchmarkTier_Closure(b *testing.B) { benchTier(b, tierClosure) }
 
 func BenchmarkScheduler_Shared_Sequential(b *testing.B) {
 	benchSchedulerRun(b, core.ModeShared, 0)

@@ -122,8 +122,8 @@ func (a *AccountCounters) Seed(v Account) {
 // InstrBatch accumulates instruction charges for one isolate in a plain
 // local counter and publishes them with a single atomic add when the
 // charged isolate changes or a quantum/safepoint boundary flushes the
-// batch. Both execution engines use it — the concurrent scheduler per
-// worker quantum, the sequential loop per scheduler quantum — so the
+// batch. Every execution engine state (interp.EngineState) carries one —
+// the sequential engine's and each concurrent worker's — so the
 // per-instruction hot path performs no atomic operations at all while
 // per-isolate attribution stays exact at every flush point.
 //
@@ -134,19 +134,10 @@ type InstrBatch struct {
 	n   int64
 }
 
-// Note charges one instruction to acc, flushing the pending batch first
-// when the charged isolate changed (an inter-isolate migration).
-func (b *InstrBatch) Note(acc *AccountCounters) {
-	if acc != b.acc {
-		b.Flush()
-		b.acc = acc
-	}
-	b.n++
-}
-
-// NoteN charges n instructions to acc in one call, exactly as n
-// consecutive Note calls would (the fused/closure tiers use it to retire
-// a whole instruction group's charges at once).
+// NoteN charges n instructions to acc, flushing the pending batch first
+// when the charged isolate changed (an inter-isolate migration). The
+// engine loop charges each step with n = 1; the fused/closure tiers
+// retire a whole instruction group's charges at once.
 func (b *InstrBatch) NoteN(acc *AccountCounters, n int64) {
 	if acc != b.acc {
 		b.Flush()

@@ -14,67 +14,20 @@ import (
 // allocation site, so the allocation fast path is a shard-local bump —
 // one atomic reservation CAS against the heap limit, an append to the
 // domain's private object list, and a plain-counter batch note — with no
-// global mutex and no shared statistic atomics.
-//
-// # Ownership
-//
-// An allocState is single-goroutine state with the same contract as
-// core.InstrBatch: the sequential engine owns one (vm.seqAlloc, used by
-// runQuantum), each concurrent worker owns one (carried in its
-// SampleState and recycled through vm's free list across runs), and the
-// engine installs it on the executing thread (t.alloc) only for the
-// duration of a quantum. Code running on the executing goroutine —
-// prepared handlers, the reference switch path, natives, vm.Throw —
-// allocates through it; everything else (host-side setup, RPC copies,
-// wake-side throwable allocation such as InterruptThread, tests) passes
-// a nil thread or a thread without an installed state and falls back to
-// the heap's mutex-guarded host path, which charges counters directly
-// and therefore needs no flush.
-//
-// # Exactness
-//
-// Byte accounts share InstrBatch's exactness contract: batches flush
-// when the charged isolate changes, at every quantum boundary (workers
-// flush before parking for a stop-the-world), at sequential safepoints
-// (flushSequential), and before any allocation-pressure collection —
-// so the STW accounting GC, kills and precise accounting always observe
-// exact per-isolate totals, while mid-quantum host-side snapshot reads
-// may trail by at most one quantum (exactly like instruction counts).
-type allocState struct {
-	dom   *heap.AllocDomain
-	batch core.ByteBatch
-	// satb buffers the shard's SATB write-barrier records while a mark
-	// phase is open, handed to the heap's gray machinery at quantum
-	// boundaries, before allocation-pressure collections, and when the
-	// buffer fills. Same single-goroutine ownership as the batch.
-	satb []*heap.Object
-	// gcIso, when non-nil, is the isolate whose allocation on this shard
-	// crossed the background-cycle occupancy threshold; the shard's next
-	// quantum boundary starts the cycle and charges the activation to it
-	// (§4.4: collections are attributed to the allocator that forces
-	// them, not to whoever happens to run at the boundary).
-	gcIso *core.Isolate
-	// barrierOn caches heap.BarrierActive for the current quantum, so the
-	// reference-store fast paths read a plain bool instead of an atomic
-	// per store. Refreshed at quantum starts and after sequential
-	// stopped-world sections. Soundness: the barrier is only ever armed
-	// inside a stop-the-world (cycle open), and every mutator passes a
-	// quantum boundary — hence a refresh — before executing again, so the
-	// flag can never be stale-false while a mark phase is open. A
-	// stale-true flag merely records SATB entries the heap drops when no
-	// cycle is active.
-	barrierOn bool
-}
+// global mutex and no shared statistic atomics. The domain, the byte
+// batch and the SATB buffer live in the executing goroutine's
+// EngineState (engine.go), which documents their ownership and
+// exactness contract.
 
 // satbFlushAt bounds the barrier buffer between flush points.
 const satbFlushAt = 128
 
 // recordSATB buffers one overwritten reference, spilling to the heap
 // when the buffer fills mid-quantum.
-func (a *allocState) recordSATB(h *heap.Heap, old *heap.Object) {
-	a.satb = append(a.satb, old)
-	if len(a.satb) >= satbFlushAt {
-		a.flushSATB(h)
+func (es *EngineState) recordSATB(h *heap.Heap, old *heap.Object) {
+	es.satb = append(es.satb, old)
+	if len(es.satb) >= satbFlushAt {
+		es.flushSATB(h)
 	}
 }
 
@@ -82,66 +35,37 @@ func (a *allocState) recordSATB(h *heap.Heap, old *heap.Object) {
 // empty). It must run before the owning goroutine parks for a
 // stop-the-world: the terminal mark phase is sound only if every
 // mutator's records are visible.
-func (a *allocState) flushSATB(h *heap.Heap) {
-	if len(a.satb) == 0 {
+func (es *EngineState) flushSATB(h *heap.Heap) {
+	if len(es.satb) == 0 {
 		return
 	}
-	h.FlushSATB(a.satb)
-	for i := range a.satb {
-		a.satb[i] = nil
+	h.FlushSATB(es.satb)
+	for i := range es.satb {
+		es.satb[i] = nil
 	}
-	a.satb = a.satb[:0]
+	es.satb = es.satb[:0]
 }
 
-// acquireAllocState returns a recycled (or fresh) allocation state. The
-// domain registry in the heap is append-only, so states are pooled on
-// the VM and reused across runs instead of growing the registry per run.
-func (vm *VM) acquireAllocState() *allocState {
-	vm.allocFreeMu.Lock()
-	defer vm.allocFreeMu.Unlock()
-	if n := len(vm.allocFree); n > 0 {
-		a := vm.allocFree[n-1]
-		vm.allocFree[n-1] = nil
-		vm.allocFree = vm.allocFree[:n-1]
-		a.barrierOn = vm.heap.BarrierActive()
-		return a
-	}
-	return &allocState{dom: vm.heap.NewDomain(), barrierOn: vm.heap.BarrierActive()}
-}
-
-// releaseAllocState flushes and recycles a worker's allocation state.
-func (vm *VM) releaseAllocState(a *allocState) {
-	if a == nil {
-		return
-	}
-	a.batch.Flush()
-	a.flushSATB(vm.heap)
-	a.gcIso = nil
-	vm.allocFreeMu.Lock()
-	vm.allocFree = append(vm.allocFree, a)
-	vm.allocFreeMu.Unlock()
-}
-
-// allocOf returns the allocation state installed on t for the current
+// allocOf returns the engine state installed on t for the current
 // quantum, or nil when the caller must use the host path.
-func allocOf(t *Thread) *allocState {
+func allocOf(t *Thread) *EngineState {
 	if t == nil {
 		return nil
 	}
-	return t.alloc
+	return t.es
 }
 
 // domainAlloc runs fn against the executing shard's domain, charging the
 // batched per-isolate counters on success; on heap exhaustion it flushes
 // the batch (exact accounts for the stopped-world collection), runs an
 // accounting collection charged to iso, and retries once.
-func (vm *VM) domainAlloc(a *allocState, iso *core.Isolate, fn func() (*heap.Object, error)) (*heap.Object, error) {
+func (vm *VM) domainAlloc(a *EngineState, iso *core.Isolate, fn func() (*heap.Object, error)) (*heap.Object, error) {
 	obj, err := fn()
 	if err != nil {
 		if !errors.Is(err, heap.ErrOutOfMemory) {
 			return nil, err
 		}
-		a.batch.Flush()
+		a.bytes.Flush()
 		a.flushSATB(vm.heap)
 		vm.CollectGarbage(iso)
 		obj, err = fn()
@@ -150,7 +74,7 @@ func (vm *VM) domainAlloc(a *allocState, iso *core.Isolate, fn func() (*heap.Obj
 		}
 	}
 	if vm.heap.TrackAlloc() {
-		a.batch.Note(vm.heap.CountersFor(iso.ID()), obj.Size(), obj.IsConnection)
+		a.bytes.Note(vm.heap.CountersFor(iso.ID()), obj.Size(), obj.IsConnection)
 	}
 	if a.gcIso == nil && vm.heap.CrossedThreshold() {
 		a.gcIso = iso

@@ -119,7 +119,7 @@ const maxClosureBlock = 24
 // a step is unobservable, so batching is identical to charging each
 // micro as it retires.
 func (vm *VM) runClosureBlock(t *Thread, f *Frame, b *closureBlock) error {
-	q := t.qa
+	q := t.es
 	if q == nil || !q.reserve(b.width) {
 		in := &f.pcode.Instrs[f.pc]
 		return vm.ptable[in.H](vm, t, f, in)

@@ -1,11 +1,5 @@
 package interp
 
-import (
-	"sync/atomic"
-
-	"ijvm/internal/core"
-)
-
 // This file is the integration surface between the interpreter and the
 // concurrent isolate scheduler (internal/sched). The scheduler installs
 // two callbacks for the duration of a concurrent run:
@@ -67,22 +61,20 @@ func (vm *VM) SetSafepointer(s Safepointer) {
 
 // withWorldStopped runs fn with every concurrent worker parked; in
 // sequential runs it is a direct call on the run-loop goroutine, with
-// the loop's pending batched charges flushed first so the stopped-world
-// observer sees exact counters (the sequential safepoint).
+// the sequential engine's pending batched charges flushed first so the
+// stopped-world observer sees exact counters (the sequential safepoint).
 func (vm *VM) withWorldStopped(fn func()) {
 	if b := vm.safe.Load(); b != nil {
 		b.s.StopTheWorld(fn)
 		return
 	}
-	vm.flushSequential()
+	vm.flushEngine(vm.seq)
 	fn()
 	// fn may have armed or disarmed the incremental collector's write
 	// barrier (cycle open/terminate). A mid-quantum sequential safepoint
 	// resumes stepping without passing a quantum start, so the cached
-	// per-quantum flag must be refreshed here (see allocState.barrierOn).
-	if vm.seqAlloc != nil {
-		vm.seqAlloc.barrierOn = vm.heap.BarrierActive()
-	}
+	// per-quantum flag must be refreshed here (see EngineState.barrierOn).
+	vm.seq.barrierOn = vm.heap.BarrierActive()
 }
 
 func (vm *VM) notifyThreadSpawned(t *Thread) {
@@ -137,135 +129,4 @@ func (vm *VM) WakeDeadline(t *Thread) (int64, bool) {
 		}
 	}
 	return 0, false
-}
-
-// SampleState carries one worker's per-goroutine execution state across
-// quanta: the CPU-sampling countdown (giving each worker the sequential
-// engine's sampling cadence) and the worker's allocation state (its
-// shard-local heap allocation domain plus the batched per-isolate byte
-// accounting), lazily acquired from the VM's pool on first use. Workers
-// must hand the allocation state back with ReleaseWorkerState when they
-// exit so later runs reuse domains instead of growing the heap's
-// registry.
-type SampleState struct {
-	count int
-	alloc *allocState
-}
-
-// ReleaseWorkerState flushes and recycles the worker-owned allocation
-// state carried in s (no-op if none was acquired).
-func (vm *VM) ReleaseWorkerState(s *SampleState) {
-	vm.releaseAllocState(s.alloc)
-	s.alloc = nil
-}
-
-// QuantumResult reports why RunThreadQuantum stopped stepping.
-type QuantumResult struct {
-	// Instructions executed in this quantum.
-	Instructions int64
-	// Migrated reports the thread's current isolate left the home
-	// isolate (inter-isolate call or return): the thread must be handed
-	// to the target isolate's shard.
-	Migrated bool
-	// Stopped reports the stop flag was observed (stop-the-world pending
-	// or budget exhausted globally).
-	Stopped bool
-	// Shutdown reports the platform was shut down during the quantum.
-	Shutdown bool
-	// TargetDone reports the run's target thread finished during the
-	// quantum (RunUntil parity for the concurrent scheduler).
-	TargetDone bool
-	// Err is the host-level error that aborted the thread, if any (the
-	// thread has already been finished).
-	Err error
-}
-
-// RunThreadQuantum executes up to budget instructions of t on the
-// calling scheduler worker, stopping early when the thread parks,
-// finishes, migrates off the home isolate, the stop flag rises, the
-// platform shuts down, or the (optional) target thread finishes.
-//
-// Accounting matches the sequential engine: every instruction is charged
-// to the isolate that is current after the step (so a migrating call is
-// charged to the callee's isolate), and the virtual clock advances by
-// one per instruction — but per-isolate charges go through the shared
-// core.InstrBatch and clock and instruction totals are flushed in one
-// batch at quantum end, keeping hot-path atomics off the shared cache
-// lines. The sequential engine batches identically (see runQuantum).
-func (vm *VM) RunThreadQuantum(t *Thread, home *core.Isolate, budget int64, stop *atomic.Bool, s *SampleState, target *Thread) QuantumResult {
-	var res QuantumResult
-	var batch core.InstrBatch
-	if s.alloc == nil {
-		s.alloc = vm.acquireAllocState()
-	}
-	// Quantum-start refresh of the cached write-barrier flag: the barrier
-	// is only armed inside a stop-the-world, which this worker's quantum
-	// ends for, so a per-quantum refresh keeps reference-store fast paths
-	// off the atomic (see allocState.barrierOn).
-	s.alloc.barrierOn = vm.heap.BarrierActive()
-	// Install the worker's allocation state on the thread for this
-	// quantum; it is removed (and its byte batch flushed) before the
-	// worker parks, so stop-the-world observers see exact accounts. The
-	// quantum accountant (qa) lets superinstruction handlers and closure
-	// blocks charge their extra covered instructions with the exact
-	// per-instruction semantics of the loop below (see quantumAcct).
-	t.alloc = s.alloc
-	qa := quantumAcct{vm: vm, limit: budget, sample: s, batch: &batch}
-	t.qa = &qa
-	for qa.steps < budget && t.State() == StateRunnable {
-		if stop != nil && stop.Load() {
-			res.Stopped = true
-			break
-		}
-		// Pre-read the mode for the step's fused/closure sub-charges: the
-		// global mode cannot flip while this worker is mid-step (flips
-		// stop the world at step boundaries) except by the step's own
-		// guest/native code, whose trailing instructions the re-read
-		// below charges under the new mode.
-		qa.isolated = vm.world.Isolated()
-		err := vm.stepThread(t)
-		qa.steps++
-		cur := t.cur
-		// The mode is re-read per step (one more uncontended atomic load
-		// beside the stop flag above) so a worker whose own guest/native
-		// code called SetIsolationMode charges the rest of its quantum
-		// under the new mode; other workers' quanta break at the flip's
-		// stop-the-world safepoint and re-enter here fresh.
-		if vm.world.Isolated() {
-			batch.Note(cur.Account())
-			s.count++
-			if s.count >= vm.opts.SampleEvery {
-				s.count = 0
-				cur.Account().CPUSamples.Add(1)
-			}
-		}
-		if err != nil {
-			t.err = err
-			vm.finishThread(t)
-			res.Err = err
-			break
-		}
-		if vm.IsShutdown() {
-			res.Shutdown = true
-			break
-		}
-		if target != nil && target.Done() {
-			res.TargetDone = true
-			break
-		}
-		if cur != home {
-			res.Migrated = true
-			break
-		}
-	}
-	res.Instructions = qa.steps
-	t.alloc = nil
-	t.qa = nil
-	batch.Flush()
-	s.alloc.batch.Flush()
-	s.alloc.flushSATB(vm.heap)
-	vm.clock.Add(res.Instructions)
-	vm.totalInstrs.Add(res.Instructions)
-	vm.noteQuantumHeat(t, res.Instructions)
-	return res
 }

@@ -5,8 +5,8 @@ import (
 	"ijvm/internal/classfile"
 )
 
-// PrepareMethodForTest exposes the preparation pass (with the
-// superinstruction fusion pass enabled) to the external test package
+// PrepareMethodForTest exposes the preparation pass (including the
+// superinstruction fusion pass) to the external test package
 // (the fuzz target drives it with adversarial instruction streams; the
 // oracle tests reach it through normal execution).
-func PrepareMethodForTest(m *classfile.Method) *bytecode.PCode { return prepareMethod(m, true) }
+func PrepareMethodForTest(m *classfile.Method) *bytecode.PCode { return prepareMethod(m) }

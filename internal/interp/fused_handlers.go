@@ -16,7 +16,7 @@ import (
 // Contracts, shared with tier.go:
 //
 //   - Before any state mutation, a handler reserves its prefix
-//     sub-instructions against the quantum (t.qa). When the group does not
+//     sub-instructions against the quantum (t.es). When the group does not
 //     fit — or no engine loop owns the thread — it bails to the head's
 //     base handler, executing exactly one original instruction.
 //   - Full-inline shapes contain only non-throwing sub-instructions and
@@ -88,7 +88,7 @@ func pureBinop(h uint8, a, b int64) int64 {
 // --- Full-inline shapes --------------------------------------------------
 
 func pFusedLLOpStore(vm *VM, t *Thread, f *Frame, in *bytecode.PInstr) error {
-	q := t.qa
+	q := t.es
 	if q == nil || !q.reserve(3) {
 		return pLoad(vm, t, f, in)
 	}
@@ -103,7 +103,7 @@ func pFusedLLOpStore(vm *VM, t *Thread, f *Frame, in *bytecode.PInstr) error {
 }
 
 func pFusedLCOpStore(vm *VM, t *Thread, f *Frame, in *bytecode.PInstr) error {
-	q := t.qa
+	q := t.es
 	if q == nil || !q.reserve(3) {
 		return pLoad(vm, t, f, in)
 	}
@@ -118,7 +118,7 @@ func pFusedLCOpStore(vm *VM, t *Thread, f *Frame, in *bytecode.PInstr) error {
 }
 
 func pFusedLLOp(vm *VM, t *Thread, f *Frame, in *bytecode.PInstr) error {
-	q := t.qa
+	q := t.es
 	if q == nil || !q.reserve(2) {
 		return pLoad(vm, t, f, in)
 	}
@@ -133,7 +133,7 @@ func pFusedLLOp(vm *VM, t *Thread, f *Frame, in *bytecode.PInstr) error {
 }
 
 func pFusedLCOp(vm *VM, t *Thread, f *Frame, in *bytecode.PInstr) error {
-	q := t.qa
+	q := t.es
 	if q == nil || !q.reserve(2) {
 		return pLoad(vm, t, f, in)
 	}
@@ -148,7 +148,7 @@ func pFusedLCOp(vm *VM, t *Thread, f *Frame, in *bytecode.PInstr) error {
 }
 
 func pFusedLLCmpBr(vm *VM, t *Thread, f *Frame, in *bytecode.PInstr) error {
-	q := t.qa
+	q := t.es
 	if q == nil || !q.reserve(2) {
 		return pLoad(vm, t, f, in)
 	}
@@ -167,7 +167,7 @@ func pFusedLLCmpBr(vm *VM, t *Thread, f *Frame, in *bytecode.PInstr) error {
 }
 
 func pFusedLCCmpBr(vm *VM, t *Thread, f *Frame, in *bytecode.PInstr) error {
-	q := t.qa
+	q := t.es
 	if q == nil || !q.reserve(2) {
 		return pLoad(vm, t, f, in)
 	}
@@ -186,7 +186,7 @@ func pFusedLCCmpBr(vm *VM, t *Thread, f *Frame, in *bytecode.PInstr) error {
 }
 
 func pFusedIncGoto(vm *VM, t *Thread, f *Frame, in *bytecode.PInstr) error {
-	q := t.qa
+	q := t.es
 	if q == nil || !q.reserve(1) {
 		return pIInc(vm, t, f, in)
 	}
@@ -198,7 +198,7 @@ func pFusedIncGoto(vm *VM, t *Thread, f *Frame, in *bytecode.PInstr) error {
 }
 
 func pFusedConstStore(vm *VM, t *Thread, f *Frame, in *bytecode.PInstr) error {
-	q := t.qa
+	q := t.es
 	if q == nil || !q.reserve(1) {
 		return pIConst(vm, t, f, in)
 	}
@@ -212,7 +212,7 @@ func pFusedConstStore(vm *VM, t *Thread, f *Frame, in *bytecode.PInstr) error {
 // --- Delegated-final shapes ----------------------------------------------
 
 func pFusedLLThen(vm *VM, t *Thread, f *Frame, in *bytecode.PInstr) error {
-	q := t.qa
+	q := t.es
 	if q == nil || !q.reserve(2) {
 		return pLoad(vm, t, f, in)
 	}
@@ -227,7 +227,7 @@ func pFusedLLThen(vm *VM, t *Thread, f *Frame, in *bytecode.PInstr) error {
 }
 
 func pFusedLCThen(vm *VM, t *Thread, f *Frame, in *bytecode.PInstr) error {
-	q := t.qa
+	q := t.es
 	if q == nil || !q.reserve(2) {
 		return pLoad(vm, t, f, in)
 	}
@@ -242,7 +242,7 @@ func pFusedLCThen(vm *VM, t *Thread, f *Frame, in *bytecode.PInstr) error {
 }
 
 func pFusedLThen(vm *VM, t *Thread, f *Frame, in *bytecode.PInstr) error {
-	q := t.qa
+	q := t.es
 	if q == nil || !q.reserve(1) {
 		return pLoad(vm, t, f, in)
 	}
@@ -260,7 +260,7 @@ func pFusedLThen(vm *VM, t *Thread, f *Frame, in *bytecode.PInstr) error {
 // which resolves/throws with the frame exactly as the unfused engine
 // would have it.
 func pFusedGetFieldThen(vm *VM, t *Thread, f *Frame, in *bytecode.PInstr) error {
-	q := t.qa
+	q := t.es
 	if q == nil || !q.reserve(1) {
 		return pGetField(vm, t, f, in)
 	}

@@ -11,7 +11,7 @@ import (
 // # Collector scheduling
 //
 // Background cycles open when heap occupancy crosses the configured
-// threshold, observed at quantum boundaries (gcQuantum): the opening
+// threshold, observed at quantum boundaries (GCQuantum): the opening
 // pause is a stop-the-world just long enough to snapshot the root sets
 // and arm the barrier. While a cycle is open, every quantum boundary —
 // sequential loop and each concurrent worker — contributes a bounded
@@ -35,40 +35,34 @@ import (
 // for (attack A4 detection). Pressure and explicit collections charge
 // the triggering isolate exactly as before. See core.AccountCounters.
 
-// gcQuantum is the per-quantum collector hook of both engines. a is the
-// engine's allocation state: when one of its allocations crossed the
-// occupancy threshold (allocState.gcIso), this boundary opens the
-// background cycle and charges the activation to that isolate. A shard
-// that did not cross the threshold itself never starts a cycle, so the
-// activation is always attributed to an allocator.
-func (vm *VM) gcQuantum(a *allocState) {
+// GCQuantum is the per-quantum collector hook of both engines, run at a
+// quantum boundary with the engine state es that ran the quantum: when
+// one of its allocations crossed the occupancy threshold
+// (EngineState.gcIso), this boundary opens the background cycle and
+// charges the activation to that isolate. A shard that did not cross
+// the threshold itself never starts a cycle, so the activation is
+// always attributed to an allocator.
+func (vm *VM) GCQuantum(es *EngineState) {
 	if vm.opts.ForceSTWGC {
 		return
 	}
 	h := vm.heap
 	if !h.CycleOpen() {
-		if a != nil && a.gcIso != nil {
+		if es.gcIso != nil {
 			if h.NeedCycle() && vm.StartIncrementalCycle() {
-				a.gcIso.Account().GCActivations.Add(1)
+				es.gcIso.Account().GCActivations.Add(1)
 			}
-			a.gcIso = nil
+			es.gcIso = nil
 		}
 		return
 	}
-	if a != nil {
-		// A crossing observed before another shard opened the cycle is
-		// stale; drop it so a later cycle is not double-charged.
-		a.gcIso = nil
-	}
+	// A crossing observed before another shard opened the cycle is
+	// stale; drop it so a later cycle is not double-charged.
+	es.gcIso = nil
 	if h.MarkQuantum(vm.opts.GCMarkStride) {
 		vm.FinishIncrementalCycle()
 	}
 }
-
-// GCQuantum is gcQuantum for the concurrent scheduler: one bounded
-// collector step at a worker's quantum boundary, using the worker's
-// allocation state for activation attribution.
-func (vm *VM) GCQuantum(s *SampleState) { vm.gcQuantum(s.alloc) }
 
 // StartIncrementalCycle opens a background mark cycle now (stopping the
 // world briefly to snapshot roots and arm the barrier). It returns
@@ -90,7 +84,7 @@ func (vm *VM) StartIncrementalCycle() bool {
 
 // GCMarkStep performs up to n units of mark work on the open cycle and
 // reports whether the mark is exhausted. Exposed for benchmarks; the
-// engines call the same heap primitive through gcQuantum.
+// engines call the same heap primitive through GCQuantum.
 func (vm *VM) GCMarkStep(n int) bool { return vm.heap.MarkQuantum(n) }
 
 // FinishIncrementalCycle runs the terminal phase of the open cycle: a
@@ -113,7 +107,7 @@ func (vm *VM) FinishIncrementalCycle() (heap.CollectResult, bool) {
 }
 
 // gcBarrier records one overwritten reference while a cycle is open.
-// The executing engine's allocation state buffers records and hands
+// The executing engine state buffers records and hands
 // them to the heap in batches at quantum boundaries (and when the
 // buffer fills); callers without an installed state fall back to the
 // heap's locked path.

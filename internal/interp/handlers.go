@@ -24,31 +24,23 @@ import (
 type phandler func(vm *VM, t *Thread, f *Frame, in *bytecode.PInstr) error
 
 // phandlerTables are the mode-specialized flat dispatch tables replacing
-// the opcode switch for prepared code, indexed [mode][ic][PInstr.H]
-// (base handlers use the opcode value as their index). The VM selects
+// the opcode switch for prepared code, indexed [mode][PInstr.H] (base
+// handlers use the opcode value as their index). The VM selects
 // one table at construction (and again on SetIsolationMode), so the
 // steady state never re-checks world.Isolated():
 //
-//   - the Shared tables run the baseline fast paths — static accesses
+//   - the Shared table runs the baseline fast paths — static accesses
 //     and initialization checks fold into the pool entry's
 //     ResolvedMirror cache after the first initialized access, the way
 //     a JIT folds them away;
-//   - the Isolated tables perform the paper's per-access task-class-
+//   - the Isolated table performs the paper's per-access task-class-
 //     mirror indexing and initialization re-check unconditionally, with
 //     no Shared-cache probes on the way.
-//
-// The second index disables the invoke inline caches (the
-// Options.DisableInlineCaches ablation): those tables dispatch every
-// invoke through the generic resolution path.
-var phandlerTables [bytecode.NumPModes][2][256]phandler
+var phandlerTables [bytecode.NumPModes][256]phandler
 
-// handlerTable returns the dispatch table for one mode/IC configuration.
-func handlerTable(mode core.Mode, disableIC bool) *[256]phandler {
-	ic := 0
-	if disableIC {
-		ic = 1
-	}
-	return &phandlerTables[pmodeIndex(mode)][ic]
+// handlerTable returns the dispatch table for one mode.
+func handlerTable(mode core.Mode) *[256]phandler {
+	return &phandlerTables[pmodeIndex(mode)]
 }
 
 func init() {
@@ -118,9 +110,8 @@ func init() {
 	reg(bytecode.OpAReturn, pValueReturn)
 	reg(bytecode.OpGetField, pGetField)
 	reg(bytecode.OpPutField, pPutField)
-	reg(bytecode.OpInvokeStatic, pInvokeStatic)
-	reg(bytecode.OpInvokeVirtual, pInvokeVirtual)
-	reg(bytecode.OpInvokeSpecial, pInvokeSpecial)
+	reg(bytecode.OpInvokeVirtual, pInvokeVirtualIC)
+	reg(bytecode.OpInvokeSpecial, pInvokeSpecialFast)
 	reg(bytecode.OpNewArray, pNewArray)
 	reg(bytecode.OpArrayLength, pArrayLength)
 	reg(bytecode.OpArrayLoad, pArrayLoad)
@@ -133,39 +124,24 @@ func init() {
 
 	// Superinstruction handlers (fused_handlers.go) are mode-neutral and
 	// live in every table; their delegated finals dispatch through the
-	// VM's live table and so pick up the mode/IC specializations below.
+	// VM's live table and so pick up the mode specializations below.
 	registerFusedHandlers(&base)
 
-	for m := range phandlerTables {
-		for ic := range phandlerTables[m] {
-			phandlerTables[m][ic] = base
-		}
-	}
 	// Mode-specialized statics, allocation and static-invoke handlers:
-	// the Shared tables probe (and populate) the pool entries'
-	// ResolvedMirror caches, the Isolated tables index mirrors and
-	// re-check initialization on every execution — neither consults
+	// the Shared table probes (and populates) the pool entries'
+	// ResolvedMirror caches, the Isolated table indexes mirrors and
+	// re-checks initialization on every execution — neither consults
 	// world.Isolated() at runtime.
-	for ic := range phandlerTables[bytecode.PModeShared] {
-		sh := &phandlerTables[bytecode.PModeShared][ic]
-		sh[uint8(bytecode.OpGetStatic)] = pGetStaticShared
-		sh[uint8(bytecode.OpPutStatic)] = pPutStaticShared
-		sh[uint8(bytecode.OpNew)] = pNewShared
-		iso := &phandlerTables[bytecode.PModeIsolated][ic]
-		iso[uint8(bytecode.OpGetStatic)] = pGetStaticIsolated
-		iso[uint8(bytecode.OpPutStatic)] = pPutStaticIsolated
-		iso[uint8(bytecode.OpNew)] = pNewIsolated
-	}
-	// Inline-cached invokes live only in the ic=0 tables; ic=1 keeps the
-	// generic resolution path (the Options.DisableInlineCaches ablation
-	// and the before/after benchmark baseline).
-	for m := range phandlerTables {
-		t0 := &phandlerTables[m][0]
-		t0[uint8(bytecode.OpInvokeVirtual)] = pInvokeVirtualIC
-		t0[uint8(bytecode.OpInvokeSpecial)] = pInvokeSpecialFast
-	}
-	phandlerTables[bytecode.PModeShared][0][uint8(bytecode.OpInvokeStatic)] = pInvokeStaticShared
-	phandlerTables[bytecode.PModeIsolated][0][uint8(bytecode.OpInvokeStatic)] = pInvokeStaticIsolated
+	sh, iso := &phandlerTables[bytecode.PModeShared], &phandlerTables[bytecode.PModeIsolated]
+	*sh, *iso = base, base
+	sh[uint8(bytecode.OpGetStatic)] = pGetStaticShared
+	sh[uint8(bytecode.OpPutStatic)] = pPutStaticShared
+	sh[uint8(bytecode.OpNew)] = pNewShared
+	sh[uint8(bytecode.OpInvokeStatic)] = pInvokeStaticShared
+	iso[uint8(bytecode.OpGetStatic)] = pGetStaticIsolated
+	iso[uint8(bytecode.OpPutStatic)] = pPutStaticIsolated
+	iso[uint8(bytecode.OpNew)] = pNewIsolated
+	iso[uint8(bytecode.OpInvokeStatic)] = pInvokeStaticIsolated
 }
 
 func pInvalid(vm *VM, t *Thread, f *Frame, in *bytecode.PInstr) error {
@@ -848,20 +824,6 @@ func pInvokeStaticIsolated(vm *VM, t *Thread, f *Frame, in *bytecode.PInstr) err
 		return vm.invokeResolved(t, f, m, int(in.B), false, f.pc+1)
 	}
 	return vm.invokeEntry(t, f, entry, bytecode.OpInvokeStatic, f.pc+1)
-}
-
-// Generic invoke handlers (the DisableInlineCaches tables).
-
-func pInvokeStatic(vm *VM, t *Thread, f *Frame, in *bytecode.PInstr) error {
-	return vm.invokeEntry(t, f, in.Ref.(*classfile.PoolEntry), bytecode.OpInvokeStatic, f.pc+1)
-}
-
-func pInvokeVirtual(vm *VM, t *Thread, f *Frame, in *bytecode.PInstr) error {
-	return vm.invokeEntry(t, f, in.Ref.(*classfile.PoolEntry), bytecode.OpInvokeVirtual, f.pc+1)
-}
-
-func pInvokeSpecial(vm *VM, t *Thread, f *Frame, in *bytecode.PInstr) error {
-	return vm.invokeEntry(t, f, in.Ref.(*classfile.PoolEntry), bytecode.OpInvokeSpecial, f.pc+1)
 }
 
 // --- Objects and arrays --------------------------------------------------

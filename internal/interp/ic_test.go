@@ -145,20 +145,3 @@ func TestInlineCacheStates(t *testing.T) {
 		})
 	}
 }
-
-// TestInlineCacheDisabled checks the ablation switch: prepared dispatch
-// still runs, results match, and the site's cache stays cold.
-func TestInlineCacheDisabled(t *testing.T) {
-	vm, iso, m := icSiteVM(t, 2, interp.Options{Mode: core.ModeIsolated, DisableInlineCaches: true})
-	const n = 32
-	v, th, err := vm.CallRoot(iso, m, []heap.Value{heap.IntVal(n)}, 1_000_000)
-	if err != nil || th.Failure() != nil {
-		t.Fatalf("run: %v / %v", err, th.FailureString())
-	}
-	if want := expectedICSum(2, n); v.I != want {
-		t.Fatalf("result %d, want %d", v.I, want)
-	}
-	if line := icSiteLine(t, m, bytecode.PModeIsolated); line != nil {
-		t.Fatalf("inline cache populated despite DisableInlineCaches: %+v", line)
-	}
-}

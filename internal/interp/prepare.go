@@ -69,20 +69,14 @@ func (vm *VM) preparedCode(m *classfile.Method) *bytecode.PCode {
 	if vm.opts.DisablePrepare {
 		return nil
 	}
-	fuse := !vm.opts.DisableFusion
-	variant := bytecode.PVariantFused
-	if !fuse {
-		variant = bytecode.PVariantUnfused
-	}
-	slot := bytecode.PSlot(vm.pmode, variant)
 	code := m.Code
-	p := code.Prepared(slot)
+	p := code.Prepared(vm.pmode)
 	if p == nil {
-		p = prepareMethod(m, fuse)
+		p = prepareMethod(m)
 		if p == nil {
 			p = unpreparable
 		}
-		p = code.StorePrepared(slot, p)
+		p = code.StorePrepared(vm.pmode, p)
 	}
 	if len(p.Instrs) == 0 {
 		return nil
@@ -91,9 +85,9 @@ func (vm *VM) preparedCode(m *classfile.Method) *bytecode.PCode {
 }
 
 // prepareMethod builds the prepared form of m, or returns nil when the
-// method cannot be verified for unchecked execution. When fuse is set,
-// superinstruction heads are rewritten after the quickening pass.
-func prepareMethod(m *classfile.Method, fuse bool) *bytecode.PCode {
+// method cannot be verified for unchecked execution. Superinstruction
+// heads are rewritten after the quickening pass.
+func prepareMethod(m *classfile.Method) *bytecode.PCode {
 	code := m.Code
 	n := len(code.Instrs)
 	if n == 0 {
@@ -244,9 +238,7 @@ func prepareMethod(m *classfile.Method, fuse bool) *bytecode.PCode {
 			instrs[pc].FS = bytecode.NewFieldSlot()
 		}
 	}
-	if fuse {
-		fuseSuperinstructions(code.Instrs, instrs)
-	}
+	fuseSuperinstructions(code.Instrs, instrs)
 	return &bytecode.PCode{
 		Instrs:    instrs,
 		MaxStack:  int(maxStack),

@@ -55,11 +55,7 @@ func (vm *VM) SetIsolationMode(mode core.Mode) error {
 		vm.heap.SetAllocTracking(mode == core.ModeIsolated)
 		vm.opts.Mode = mode
 		vm.pmode = pmodeIndex(mode)
-		vm.ptable = handlerTable(mode, vm.opts.DisableInlineCaches)
-		// A sequential quantum may be mid-flight (guest/native-context
-		// flip): make its hoisted mode flag refresh on the next step so
-		// accounting switches with the semantics.
-		vm.seqModeFlip = true
+		vm.ptable = handlerTable(mode)
 		for _, t := range vm.Threads() {
 			if t.Done() {
 				continue

@@ -193,7 +193,7 @@ func TestRequickenStormAgainstHotTier(t *testing.T) {
 	// mode quickenings carry fused superinstruction heads, and the hot
 	// loop body was promoted to the closure tier.
 	for _, pm := range []int{bytecode.PModeShared, bytecode.PModeIsolated} {
-		p := m.Code.Prepared(bytecode.PSlot(pm, bytecode.PVariantFused))
+		p := m.Code.Prepared(pm)
 		if p == nil {
 			t.Fatalf("mode %d quickening missing after storm", pm)
 		}

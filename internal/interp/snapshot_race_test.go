@@ -83,8 +83,8 @@ func TestSnapshotCaptureUnderLoad(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	var threads []*interp.Thread
 	var tenants []*core.Isolate
+	var runs []*classfile.Method
 	for k := 0; k < snapStressIsolates; k++ {
 		iso, err := vm.NewIsolate(fmt.Sprintf("tenant%d", k))
 		if err != nil {
@@ -100,7 +100,22 @@ func TestSnapshotCaptureUnderLoad(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		th, err := vm.SpawnThread(fmt.Sprintf("ss%d", k), iso, m,
+		// Initialize the tenant's ss/Main mirror on the host (run(0)
+		// touches the statics and loops zero times), so the admin
+		// goroutine never captures a tenant the scheduler has not
+		// reached yet: every capture below has a class to capture.
+		_, th, err := vm.CallRoot(iso, m, []heap.Value{heap.IntVal(0)}, 0)
+		if err != nil {
+			t.Fatalf("warm tenant%d: %v", k, err)
+		}
+		if th.Failure() != nil {
+			t.Fatalf("warm tenant%d: %s", k, th.FailureString())
+		}
+		runs = append(runs, m)
+	}
+	var threads []*interp.Thread
+	for k, m := range runs {
+		th, err := vm.SpawnThread(fmt.Sprintf("ss%d", k), tenants[k], m,
 			[]heap.Value{heap.IntVal(snapStressIters)})
 		if err != nil {
 			t.Fatal(err)
@@ -113,8 +128,15 @@ func TestSnapshotCaptureUnderLoad(t *testing.T) {
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
 	wg.Add(1)
+	base := vm.TotalInstructions()
 	go func() {
 		defer wg.Done()
+		// Administer the run only once it has started: only its workers
+		// move the count past the warm-up's, and they run only once the
+		// scheduler's safepoint machinery is installed.
+		for vm.TotalInstructions() == base {
+			time.Sleep(50 * time.Microsecond)
+		}
 		killed := false
 		for i := 0; ; i++ {
 			select {

@@ -248,19 +248,14 @@ type Thread struct {
 	// wake operations only while the thread is parked, under VM.schedMu).
 	slowStep bool
 
-	// alloc is the executing engine's allocation state (shard-local
-	// domain + batched byte accounting), installed for the duration of a
-	// quantum and nil otherwise. Owned by the goroutine executing the
-	// thread: only that goroutine may allocate through it, and wake-side
-	// allocation (InterruptThread's exception) must use the host path
-	// instead.
-	alloc *allocState
-
-	// qa is the owning engine loop's quantum accounting state (tier.go),
-	// installed for the duration of a quantum and nil otherwise; fused
-	// and closure-tier handlers reserve and charge their inlined
-	// sub-instructions through it. Same ownership contract as alloc.
-	qa *quantumAcct
+	// es is the executing goroutine's engine state (engine.go),
+	// installed by RunQuantum for the duration of a quantum and nil
+	// otherwise: allocation goes through its shard-local domain, and
+	// fused and closure-tier handlers reserve and charge their inlined
+	// sub-instructions through it. Owned by the goroutine executing the
+	// thread: only that goroutine may use it, and wake-side allocation
+	// (InterruptThread's exception) must use the host path instead.
+	es *EngineState
 
 	// pendingArgs is the in-flight invocation argument window between
 	// the caller's stack truncation and the callee's locals copy (or the

@@ -3,117 +3,45 @@ package interp
 import (
 	"ijvm/internal/bytecode"
 	"ijvm/internal/classfile"
-	"ijvm/internal/core"
 )
 
-// This file holds the quantum-accounting bridge that lets superinstruction
-// handlers (fused_handlers.go) and closure-threaded blocks (closure.go)
-// execute several guest instructions inside one engine step without
-// disturbing any observable contract:
+// Superinstruction handlers (fused_handlers.go) and closure-threaded
+// blocks (closure.go) execute several guest instructions inside one
+// engine step without disturbing any observable contract:
 //
 //   - instruction counts: every sub-instruction is charged through the
-//     exact per-instruction sequence of the engine loop that owns the
-//     quantum (sequential runQuantum or concurrent RunThreadQuantum), so
-//     per-isolate accounts, CPU sampling and the virtual clock advance at
-//     identical points to unfused execution;
+//     engine loop's own charge sequence (EngineState.chargeSubs,
+//     engine.go), so per-isolate accounts, CPU sampling and the virtual
+//     clock advance at identical points to unfused execution;
 //   - quantum/budget boundaries: a group only executes fused when the
-//     whole group fits in the remaining quantum (reserve); otherwise the
-//     head executes as its original single instruction and the boundary
-//     lands exactly where the unfused engine would put it. The engine
-//     loops already clamp the quantum to the remaining run budget, so
-//     budget exhaustion is covered by the same check;
+//     whole group fits in the remaining quantum (EngineState.reserve);
+//     otherwise the head executes as its original single instruction and
+//     the boundary lands exactly where the unfused engine would put it.
+//     The engines already clamp the quantum to the remaining run budget,
+//     so budget exhaustion is covered by the same check;
 //   - safepoints: kill, SetIsolationMode and STW parking act only between
 //     engine steps. A fused group completes (or delegates its final
 //     sub-instruction) within one step, and its non-throwing prefix
 //     cannot reach a safepoint, so no partially-applied group state is
 //     ever observable.
 //
-// quantumAcct lives on the Thread (t.qa) only while an engine loop is
+// The engine state lives on the Thread (t.es) only while RunQuantum is
 // driving it; fused handlers bail to single-step execution when it is
 // absent (host-driven stepping) or the group does not fit.
-
-// quantumAcct is the per-quantum instruction accounting state shared
-// between an engine loop and the fused/closure handlers it dispatches.
-// steps is the loop's own instruction counter: the loop increments it
-// once per stepThread call (the group's final sub-instruction), and
-// chargeSub increments it for each inlined prefix sub-instruction.
-type quantumAcct struct {
-	vm       *VM
-	sample   *SampleState     // concurrent engine sampling state; nil for sequential
-	batch    *core.InstrBatch // concurrent per-quantum account batch; nil for sequential
-	steps    int64
-	limit    int64
-	isolated bool
-	seq      bool
-}
-
-// reserve reports whether a fused group with extra prefix sub-instructions
-// (on top of the final one the engine loop charges) still fits in the
-// quantum.
-func (q *quantumAcct) reserve(extra int64) bool {
-	return q.steps+extra < q.limit
-}
-
-// chargeSubs charges k inlined prefix sub-instructions, replicating the
-// owning engine loop's per-instruction accounting sequence in one
-// arithmetically identical batched call: account notes batch through
-// InstrBatch.NoteN and the CPU-sampling counter is folded modulo
-// SampleEvery (floor((old+k)/every) samples, remainder kept), which is
-// exactly what k unit increments with reset-at-threshold produce.
-// Prefix sub-instructions cannot migrate the thread, flip the isolation
-// mode or finish the thread (only a group's delegated final can, and
-// the loop's own post-step charge covers that one), so reading t.cur
-// and the hoisted isolation flag here matches what the unfused loop
-// would have read — and nothing can observe the intermediate counters
-// mid-step (no safepoint, throw, park or batch flush is reachable from
-// a prefix micro), so the batching is invisible to the differential
-// oracle.
-func (q *quantumAcct) chargeSubs(t *Thread, k int64) {
-	if k <= 0 {
-		return
-	}
-	q.steps += k
-	vm := q.vm
-	if q.seq {
-		vm.seqPending += k
-		if q.isolated {
-			acct := t.cur.Account()
-			vm.seqBatch.NoteN(acct, k)
-			total := vm.instrSinceSample + int(k)
-			if every := vm.opts.SampleEvery; total >= every {
-				acct.CPUSamples.Add(int64(total / every))
-				total %= every
-			}
-			vm.instrSinceSample = total
-		}
-		return
-	}
-	if q.isolated {
-		acct := t.cur.Account()
-		q.batch.NoteN(acct, k)
-		s := q.sample
-		total := s.count + int(k)
-		if every := vm.opts.SampleEvery; total >= every {
-			acct.CPUSamples.Add(int64(total / every))
-			total %= every
-		}
-		s.count = total
-	}
-}
 
 // barrierOn is the per-quantum cached SATB barrier flag used by the fused
 // and closure store paths (and the interpreter store handlers) in place
 // of the heap's per-store atomic load. The flag is refreshed at every
-// quantum start (both engines), on allocation-state acquisition, and
-// after a sequential-engine world-stop (the only point where the barrier
-// can arm or disarm mid-quantum on the executing goroutine); concurrent
-// workers always end their quantum at a world-stop, so their next
-// quantum re-reads the flag. A transiently stale ON is harmless (the
-// heap drops SATB records when no cycle is open); a stale OFF cannot
-// occur because arming happens only with the world stopped.
+// quantum start and after a sequential-engine world-stop (the only point
+// where the barrier can arm or disarm mid-quantum on the executing
+// goroutine); concurrent workers always end their quantum at a
+// world-stop, so their next quantum re-reads the flag. A transiently
+// stale ON is harmless (the heap drops SATB records when no cycle is
+// open); a stale OFF cannot occur because arming happens only with the
+// world stopped.
 func (vm *VM) barrierOn(t *Thread) bool {
-	if a := t.alloc; a != nil {
-		return a.barrierOn
+	if es := t.es; es != nil {
+		return es.barrierOn
 	}
 	return vm.heap.BarrierActive()
 }

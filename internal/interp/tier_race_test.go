@@ -165,7 +165,7 @@ func TestTierPromotionRaceStress(t *testing.T) {
 
 		// The contention under test really happened: the shared body was
 		// promoted, and its prepared form carries fused heads.
-		p := spin.Code.Prepared(bytecode.PSlot(bytecode.PModeIsolated, bytecode.PVariantFused))
+		p := spin.Code.Prepared(bytecode.PModeIsolated)
 		if p == nil {
 			t.Fatalf("round %d: shared body never quickened", round)
 		}

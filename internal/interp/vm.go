@@ -52,9 +52,6 @@ type Options struct {
 	// Quantum is the scheduler time slice in instructions (0 selects
 	// 1000).
 	Quantum int
-	// SampleEvery is the CPU-sampling period in instructions (0 selects
-	// 127). Sampling only runs in Isolated mode.
-	SampleEvery int
 	// MaxFrameDepth caps the frame stack (0 selects 1024).
 	MaxFrameDepth int
 	// PerCallCPUAccounting enables the ablation-only accounting strategy
@@ -69,11 +66,6 @@ type Options struct {
 	// with checked stack discipline. Used as the reference semantics of
 	// the dispatch oracle tests and as an escape hatch.
 	DisablePrepare bool
-	// DisableInlineCaches makes prepared invokes resolve through the
-	// generic path (pool entry + per-class resolution cache) instead of
-	// the per-site polymorphic inline caches — the ablation baseline of
-	// the BenchmarkInvoke_* microbenchmarks.
-	DisableInlineCaches bool
 	// ForceSTWGC selects the reference collector: no incremental cycles,
 	// no write barrier, every collection a monolithic stop-the-world
 	// mark-sweep at its trigger point. The differential baseline of the
@@ -91,12 +83,6 @@ type Options struct {
 	// engine performs per quantum boundary while a cycle is open. 0
 	// selects 256.
 	GCMarkStride int
-	// DisableFusion turns the preparation-time superinstruction pass off:
-	// prepared bodies keep one handler per bytecode. Used as the ablation
-	// baseline of the BenchmarkTier_* microbenchmarks and as an escape
-	// hatch. Fused and unfused forms occupy distinct prepared-cache slots,
-	// so VMs with different settings share method bodies safely.
-	DisableFusion bool
 	// TierPromoteThreshold is the heat (activations plus quantum-resident
 	// instructions) at which a prepared method body is promoted to the
 	// closure-threaded hot tier. 0 selects 2048; negative disables the
@@ -114,9 +100,6 @@ func (o *Options) normalize() {
 	}
 	if o.Quantum <= 0 {
 		o.Quantum = 1000
-	}
-	if o.SampleEvery <= 0 {
-		o.SampleEvery = 127
 	}
 	if o.MaxFrameDepth <= 0 {
 		o.MaxFrameDepth = 1024
@@ -181,33 +164,21 @@ type VM struct {
 
 	// clock is the virtual time in ticks; it advances by one per executed
 	// instruction and jumps forward when all threads sleep.
-	clock            atomic.Int64
-	instrSinceSample int // sequential engine only
-	totalInstrs      atomic.Int64
-
-	// Sequential-engine batched accounting (owned by the goroutine
-	// running Run/RunUntil): instructions and clock ticks accumulate in
-	// these plain counters and are flushed to the atomics at quantum
-	// boundaries and sequential safepoints (see flushSequential).
-	// seqModeFlip tells runQuantum to refresh its hoisted isolation-mode
-	// flag; SetIsolationMode raises it under the same ownership contract
-	// (the executing goroutine, or no run in progress).
-	seqBatch    core.InstrBatch
-	seqPending  int64
-	seqModeFlip bool
+	clock       atomic.Int64
+	totalInstrs atomic.Int64
 
 	// framePool recycles activation records (and their local/stack
 	// slices) across pushFrame/popFrame.
 	framePool sync.Pool
 
-	// seqAlloc is the sequential engine's allocation state (shard-local
-	// domain + byte batch), owned by the goroutine running Run/RunUntil
-	// and installed on the stepping thread per quantum. allocFree pools
-	// worker allocation states across concurrent runs so the heap's
-	// domain registry stays bounded by the worker high-water mark.
-	seqAlloc    *allocState
+	// seq is the sequential engine's state, owned by the goroutine
+	// running Run/RunUntil: its batched charges are flushed at quantum
+	// ends and sequential safepoints (withWorldStopped). allocFree pools
+	// worker engine states across concurrent runs so the heap's domain
+	// registry stays bounded by the worker high-water mark.
+	seq         *EngineState
 	allocFreeMu sync.Mutex
-	allocFree   []*allocState
+	allocFree   []*EngineState
 
 	// monStripes is the striped monitor-lock table: Object.Monitor words
 	// are guarded by the stripe selected by the object's immutable stripe
@@ -286,15 +257,16 @@ func NewVM(opts Options) *VM {
 		registry:  registry,
 		world:     core.NewWorld(opts.Mode, registry),
 		heap:      h,
-		ptable:    handlerTable(opts.Mode, opts.DisableInlineCaches),
+		seq:       &EngineState{dom: h.NewDomain()},
+		ptable:    handlerTable(opts.Mode),
 		pmode:     pmodeIndex(opts.Mode),
 		pinned:    make(map[heap.IsolateID][]*heap.Object),
 		hostRoots: make(map[*HostRoots]struct{}),
 		waiters:   make(map[*heap.Object][]*Thread),
 
 		stagedEntryArgs: make(map[*Thread]stagedArgs),
-		wellKnown: make(map[string]*classfile.Class),
-		rng:       0x9E3779B97F4A7C15,
+		wellKnown:       make(map[string]*classfile.Class),
+		rng:             0x9E3779B97F4A7C15,
 	}
 }
 
@@ -325,9 +297,9 @@ func (vm *VM) Clock() int64 { return vm.clock.Load() }
 // timing is bit-identical to per-instruction clock publication. Host
 // goroutines must use Clock instead: the pending counter is plain state
 // owned by the run-loop goroutine. (Under the concurrent engine the
-// pending counter is unused and this equals Clock, whose quantum
+// sequential state is idle and this equals Clock, whose quantum
 // batching is inherent to parallel execution.)
-func (vm *VM) NowTicks() int64 { return vm.clock.Load() + vm.seqPending }
+func (vm *VM) NowTicks() int64 { return vm.clock.Load() + vm.seq.pending }
 
 // TotalInstructions returns the number of instructions executed so far.
 func (vm *VM) TotalInstructions() int64 { return vm.totalInstrs.Load() }

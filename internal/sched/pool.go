@@ -380,8 +380,8 @@ func (p *pool) worker() {
 		p.goidMu.Unlock()
 	}()
 
-	var sampler interp.SampleState
-	defer p.vm.ReleaseWorkerState(&sampler)
+	es := p.vm.AcquireEngineState()
+	defer p.vm.ReleaseEngineState(es)
 
 	p.mu.Lock()
 	for {
@@ -414,7 +414,7 @@ func (p *pool) worker() {
 		}
 		if s := p.dequeueLocked(); s != nil {
 			p.mu.Unlock()
-			end := p.runSlice(s, &sampler)
+			end := p.runSlice(s, es)
 			// Governor sampling happens at the dispatch boundary with
 			// p.mu released: an escalation to kill stops the world,
 			// which must not be attempted while holding the pool lock.
@@ -629,7 +629,7 @@ func (p *pool) recomputeNextWakeLocked() {
 // shard has nothing runnable, a queued interactive shard preempts a
 // batch slice, or the stop flag rises. It returns the end reason the
 // slice observed (endNone when the run continues).
-func (p *pool) runSlice(s *shard, sampler *interp.SampleState) endReason {
+func (p *pool) runSlice(s *shard, es *interp.EngineState) endReason {
 	remaining := p.slice
 	interactive := s.iso.QoS() == core.QoSInteractive
 	for remaining > 0 && !p.stop.Load() {
@@ -647,15 +647,15 @@ func (p *pool) runSlice(s *shard, sampler *interp.SampleState) endReason {
 				return endNone
 			}
 		}
-		res := p.vm.RunThreadQuantum(t, s.iso, q, &p.stop, sampler, p.target)
+		res := p.vm.RunQuantum(t, es, s.iso, q, &p.stop, p.target)
 		// Collector hook at the worker's quantum boundary: open a
 		// background cycle on occupancy, contribute one mark stride to
 		// the shared gray pool (stealing spilled work from other
 		// shards), or run the short terminal phase. The quantum's
-		// batched charges and barrier records were flushed by the
-		// RunThreadQuantum epilogue, so a stop-the-world started here
-		// observes exact state.
-		p.vm.GCQuantum(sampler)
+		// batched charges and barrier records were flushed at the end
+		// of RunQuantum, so a stop-the-world started here observes
+		// exact state.
+		p.vm.GCQuantum(es)
 		if p.limited && res.Instructions < q {
 			p.budget.Add(q - res.Instructions)
 		}

@@ -60,6 +60,19 @@ var (
 	ErrClosed = errors.New("serve: clone pool closed")
 )
 
+// UnretiredError is returned by Close when some pooled isolates could
+// not be torn down: their threads never finished unwinding (for
+// example because no engine ran them after the kill), so they never
+// became disposable and their slots were not freed.
+type UnretiredError struct {
+	// Isolates is how many isolates Close could not retire.
+	Isolates int
+}
+
+func (e *UnretiredError) Error() string {
+	return fmt.Sprintf("serve: pool close could not retire %d isolate(s)", e.Isolates)
+}
+
 // Config configures a Pool.
 type Config struct {
 	// Capacity is the warm-set bound (default 8). The refiller keeps at
@@ -205,26 +218,38 @@ func (p *Pool) Stats() Stats {
 }
 
 // Close stops the refiller and tears down every warm and returned
-// isolate (kill, sweep, free). Idempotent. Outstanding acquired
-// isolates are the caller's to Release (torn down inline after Close).
-func (p *Pool) Close() {
+// isolate (kill, sweep, free), retrying for about a second while killed
+// threads unwind. It returns an *UnretiredError naming how many
+// isolates were still not disposable after that. Idempotent: later
+// calls return nil. Outstanding acquired isolates are the caller's to
+// Release (torn down inline after Close).
+func (p *Pool) Close() error {
 	p.mu.Lock()
 	if p.closed {
 		p.mu.Unlock()
-		return
+		return nil
 	}
 	p.closed = true
-	rest := append(p.warm, p.dead...)
-	p.warm, p.dead = nil, nil
 	p.mu.Unlock()
 	close(p.done)
 	p.idle.Wait()
+	// Collect the leftovers only once the refiller has exited: a refill
+	// in flight puts the returns it could not retire back on the dead
+	// list.
+	p.mu.Lock()
+	rest := append(p.warm, p.dead...)
+	p.warm, p.dead = nil, nil
+	p.mu.Unlock()
 	for attempt := 0; len(rest) > 0 && attempt < 1000; attempt++ {
 		if attempt > 0 {
 			time.Sleep(time.Millisecond)
 		}
 		rest = p.retire(rest)
 	}
+	if len(rest) > 0 {
+		return &UnretiredError{Isolates: len(rest)}
+	}
+	return nil
 }
 
 // kick nudges the refiller without blocking (the wake channel is a
@@ -250,17 +275,17 @@ func (p *Pool) refiller() {
 
 // refill retires returned sessions, then tops the warm set back up to
 // Capacity. Runs only on the refiller goroutine; holds no pool lock
-// across VM operations.
+// across VM operations. Once the pool is closed it leaves every
+// isolate on the warm and dead lists for Close to tear down.
 func (p *Pool) refill() {
 	p.mu.Lock()
-	dead := p.dead
-	p.dead = nil
-	closed := p.closed
-	p.mu.Unlock()
-	if closed {
-		p.retire(dead)
+	if p.closed {
+		p.mu.Unlock()
 		return
 	}
+	dead := p.dead
+	p.dead = nil
+	p.mu.Unlock()
 	if rest := p.retire(dead); len(rest) > 0 {
 		// Threads still unwinding or sweep not terminal yet: put them
 		// back and retry shortly.
@@ -286,11 +311,6 @@ func (p *Pool) refill() {
 			return
 		}
 		p.mu.Lock()
-		if p.closed {
-			p.mu.Unlock()
-			p.retire([]*core.Isolate{iso})
-			return
-		}
 		p.warm = append(p.warm, iso)
 		p.mu.Unlock()
 	}

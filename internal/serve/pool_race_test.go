@@ -129,11 +129,16 @@ func TestClonePoolConcurrentChurn(t *testing.T) {
 	}
 	victim := shards[1]
 
+	// The warm-up CallRoot already ran instructions (the keeper's too),
+	// so wait for the count to move past that: only the scheduler's
+	// workers advance it now, and they run only once its safepoint
+	// machinery is installed.
+	base := vm.TotalInstructions()
 	resCh := make(chan interp.RunResult, 1)
 	go func() {
 		resCh <- sched.RunConfig(vm, sched.Config{Workers: 4, Policy: sched.PolicyProportional})
 	}()
-	for vm.TotalInstructions() == 0 {
+	for vm.TotalInstructions() == base {
 		time.Sleep(50 * time.Microsecond)
 	}
 

@@ -245,8 +245,12 @@ func TestPoolClose(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p.Close()
-	p.Close() // idempotent
+	if err := p.Close(); err != nil {
+		t.Fatalf("close: %v", err)
+	}
+	if err := p.Close(); err != nil { // idempotent
+		t.Fatalf("second close: %v", err)
+	}
 	if _, err := p.Acquire(nil); !errors.Is(err, serve.ErrClosed) {
 		t.Fatalf("acquire after close: %v, want ErrClosed", err)
 	}
@@ -259,6 +263,40 @@ func TestPoolClose(t *testing.T) {
 	}
 	if !out.Disposed() {
 		t.Fatal("outstanding isolate not disposed after post-close release")
+	}
+}
+
+// TestPoolCloseReportsUnretired: a released session whose thread was
+// never run cannot unwind after the kill (no engine is running), so its
+// isolate never becomes disposable; Close must say so with the typed
+// error instead of returning as if everything was torn down.
+func TestPoolCloseReportsUnretired(t *testing.T) {
+	vm, _, snap, serveM := poolVM(t, 0)
+	defer snap.Release()
+	p, err := serve.NewPool(vm, snap, serve.Config{Capacity: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	iso, err := p.Acquire(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := vm.SpawnThread("stuck", iso, serveM, []heap.Value{heap.IntVal(1)}); err != nil {
+		t.Fatal(err)
+	}
+	p.Release(iso)
+	err = p.Close()
+	var unretired *serve.UnretiredError
+	if !errors.As(err, &unretired) || unretired.Isolates != 1 {
+		t.Fatalf("close: %v, want an UnretiredError for 1 isolate", err)
+	}
+	if iso.Disposed() {
+		t.Fatal("isolate with an unwound thread was disposed")
+	}
+	// The refiller may have replaced the acquired clone before Close;
+	// every clone but the stuck one must be torn down either way.
+	if st := p.Stats(); st.Recycled != st.Cloned-1 {
+		t.Fatalf("close teardown: %+v, want every clone but the stuck one recycled", st)
 	}
 }
 

@@ -674,7 +674,9 @@ func RunGatewayConcurrent(cfg GatewayConcurrentConfig) (GatewayConcurrentResult,
 		// Close first: it drains the dead list through the teardown
 		// pipeline, so the recycled counter is final rather than a
 		// point-in-time race with the background refiller.
-		pool.Close()
+		if err := pool.Close(); err != nil {
+			return res, err
+		}
 		st := pool.Stats()
 		res.SaturatedRejects = st.Saturated
 		res.Shed = st.Shed
